@@ -1,6 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import java.util.concurrent.atomic.AtomicLong
+
+import org.apache.spark.sql.{classic, DataFrame, SparkSession}
 import repro.util.SqlGen
 
 /** How one column is rewritten by a cleaning step. All of Cocoon's cleaning
@@ -91,17 +93,26 @@ object CleaningStep {
     s"${head}SELECT $distinct$items\nFROM $fromRelation"
   }
 
-  private var viewCounter = 0
-
   /** Apply one step by executing its generated SQL through Catalyst — the
     * reproduction runs the very SQL text Cocoon emits, not a parallel
     * DataFrame re-implementation of it.
     */
-  def apply(spark: SparkSession, df: DataFrame, step: CleaningStep): DataFrame = {
-    if (step.isNoop) return df
-    val view = synchronized { viewCounter += 1; s"cocoon_stage_$viewCounter" }
+  def apply(spark: SparkSession, df: DataFrame, step: CleaningStep): DataFrame =
+    if (step.isNoop) df
+    else sqlOver(spark, df)(view => renderSelect(step, df.columns.toSeq, view, SqlGen.ident))
+
+  private val viewCounter = new AtomicLong
+
+  /** Run the SQL that `sql` renders over `df`, registered as a fresh temp
+    * view that is dropped once `spark.sql` has resolved it into the plan.
+    * The drop goes through the session catalog directly:
+    * `Catalog.dropTempView` would also uncache the view's data, which here is
+    * the caller's (possibly cached) DataFrame.
+    */
+  private[core] def sqlOver(spark: SparkSession, df: DataFrame)(sql: String => String): DataFrame = {
+    val view = s"cocoon_stage_${viewCounter.incrementAndGet()}"
     df.createOrReplaceTempView(view)
-    val sql = renderSelect(step, df.columns.toSeq, view, SqlGen.ident)
-    spark.sql(sql)
+    try spark.sql(sql(view))
+    finally spark.asInstanceOf[classic.SparkSession].sessionState.catalog.dropTempView(view)
   }
 }

@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.llm.LLMClient
+import repro.profile.TableProfile
 import repro.util.SqlGen
 
 /** Configuration knobs for one pipeline run. `keyCol` is the row identifier
@@ -29,6 +30,8 @@ final case class CocoonResult(cleaned: DataFrame, steps: Seq[CleaningStep], scri
   *
   * Each stage's detection runs against the *output* of the previous stage, so
   * e.g. FD grouping sees typo-fixed values — the reason the order matters.
+  * Stages share one [[TableProfile]] per table state, so a run profiles the
+  * table once plus once after each step that rewrites it.
   */
 object CocoonPipeline {
 
@@ -44,28 +47,38 @@ object CocoonPipeline {
     var ctes    = Vector.empty[(String, String)] // (cteName, selectSql)
     var rel     = "input"
 
-    def runStage(name: String, mk: DataFrame => Option[CleaningStep]): Unit =
-      mk(df).filterNot(_.isNoop).foreach { step =>
+    // One profile per table state: built on first use, dropped when a step
+    // rewrites the table.
+    var profile = Option.empty[TableProfile]
+    def profiled: TableProfile = profile.getOrElse {
+      val p = TableProfile.of(df, exclude, math.max(cfg.maxFrequentValues, TableProfile.MaxValues))
+      profile = Some(p)
+      p
+    }
+
+    def runStage(name: String, mk: (DataFrame, TableProfile) => Option[CleaningStep]): Unit =
+      mk(df, profiled).filterNot(_.isNoop).foreach { step =>
         val sql = CleaningStep.renderSelect(step, df.columns.toSeq, rel, SqlGen.ident)
         df = CleaningStep.apply(spark, df, step)
         df = df.localCheckpoint(eager = true) // keep lineage flat across 8 stages
+        profile = None
         val cte = s"cleaned_${steps.size + 1}_${name.replace('-', '_')}"
         ctes :+= (cte, sql)
         rel = cte
         steps :+= step
       }
 
-    runStage("string-outliers", d => StringOutliers.step(d, llm, exclude, cfg.maxFrequentValues, cfg.valueBatchSize))
-    runStage("pattern-outliers", d => PatternOutliers.step(d, llm, exclude))
-    runStage("dmv", d => Dmv.step(d, llm, exclude))
-    runStage("column-type", d => ColumnType.step(d, llm, exclude))
-    runStage("numeric-outliers", d => NumericOutliers.step(d, llm, exclude))
-    runStage("functional-deps", d => FunctionalDeps.step(d, llm, exclude, cfg.minFdStrength))
-    runStage("duplication", d => Duplication.step(d, llm, cfg.tableDesc))
+    runStage("string-outliers", (d, p) => StringOutliers.step(d, p, llm, exclude, cfg.maxFrequentValues, cfg.valueBatchSize))
+    runStage("pattern-outliers", (d, p) => PatternOutliers.step(d, p, llm, exclude))
+    runStage("dmv", (d, p) => Dmv.step(d, p, llm, exclude))
+    runStage("column-type", (d, p) => ColumnType.step(d, p, llm, exclude))
+    runStage("numeric-outliers", (d, p) => NumericOutliers.step(d, p, llm, exclude))
+    runStage("functional-deps", (d, p) => FunctionalDeps.step(d, p, llm, exclude, cfg.minFdStrength))
+    runStage("duplication", (d, p) => Duplication.step(d, p, llm, cfg.tableDesc))
 
     // §2.1.8 uniqueness dedupes rows via a window function, outside the
     // column-rewrite model.
-    Uniqueness.plan(df, llm, exclude).foreach { p =>
+    Uniqueness.plan(df, profiled, llm, exclude).foreach { p =>
       df = Uniqueness.apply(spark, df, p)
       ctes :+= (s"cleaned_${ctes.size + 1}_uniqueness", p.sql.replace("__input__", rel))
       rel = ctes.last._1

@@ -2,28 +2,30 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import repro.llm.{Knowledge, LLMClient}
-import repro.profile.Profiler
+import repro.profile.TableProfile
 
 /** §2.1.4 Column Type.
   *
   * The LLM inspects the catalog type and the value profile and suggests the
-  * semantically suitable type; cleaning is a CAST. Two suggestions change
+  * semantically suitable type; cleaning is a CAST. Three suggestions change
   * value representations (and so are applied as rewrites): boolean-looking
-  * text → canonical "True"/"False" (the paper casts "yes"/"no" to bool), and
-  * uniform duration text → total minutes as DOUBLE. A pure numeric cast
-  * ("123" → 123) changes no surface value, so it is recorded in the emitted
-  * SQL artifact only (see [[CocoonPipeline]]'s script) and applies no rewrite.
+  * text → canonical "True"/"False" (the paper casts "yes"/"no" to bool),
+  * uniform duration text → total minutes as DOUBLE, and "7.5/10" ratings →
+  * plain numbers. A pure numeric cast ("123" → 123) changes no surface value,
+  * so it emits nothing: neither a rewrite nor a `CAST` in the script, which
+  * keeps every column a string and the output schema equal to the input's.
   */
 object ColumnType {
 
   def step(
       df: DataFrame,
+      profile: TableProfile,
       llm: LLMClient,
       exclude: Set[String] = Set.empty,
       maxValues: Int = 3000,
   ): Option[CleaningStep] = {
     val rewrites = StringOutliers.stringColumns(df, exclude).flatMap { c =>
-      val values = Profiler.profileColumn(df, c, maxValues).frequentValues
+      val values = profile.frequentValues(c, maxValues)
       llm.suggestType(c, "string", values).flatMap { sug =>
         sug.rewriteKind match {
           case "boolean" =>
@@ -50,7 +52,7 @@ object ColumnType {
             Option.when(mapping.nonEmpty)(
               ColumnRewrite(c, MapValues(mapping), s"${sug.reasoning} Cast to ${sug.targetType}.")
             )
-          case _ => None // numeric-cast: representation-preserving, artifact-only
+          case _ => None // numeric-cast: representation-preserving, nothing to emit
         }
       }
     }

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import repro.llm.LLMClient
-import repro.profile.Profiler
+import repro.profile.TableProfile
 
 /** §2.1.3 Disguised Missing Values.
   *
@@ -14,12 +14,13 @@ object Dmv {
 
   def step(
       df: DataFrame,
+      profile: TableProfile,
       llm: LLMClient,
       exclude: Set[String] = Set.empty,
       maxValues: Int = 2000,
   ): Option[CleaningStep] = {
     val rewrites = StringOutliers.stringColumns(df, exclude).flatMap { c =>
-      val values = Profiler.profileColumn(df, c, maxValues).frequentValues
+      val values = profile.frequentValues(c, maxValues)
       val dmv    = llm.identifyDmv(c, values).distinct.sorted
       if (dmv.isEmpty) None
       else

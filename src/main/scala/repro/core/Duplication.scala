@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import repro.llm.LLMClient
-import repro.profile.Profiler
+import repro.profile.{Profiler, TableProfile}
 
 /** §2.1.7 Duplication.
   *
@@ -12,10 +12,10 @@ import repro.profile.Profiler
   */
 object Duplication {
 
-  def step(df: DataFrame, llm: LLMClient, tableDesc: String): Option[CleaningStep] = {
-    val dups = Profiler.duplicateRowCount(df)
+  def step(df: DataFrame, profile: TableProfile, llm: LLMClient, tableDesc: String): Option[CleaningStep] = {
+    val dups = Profiler.duplicateRowCount(df, profile)
     if (dups == 0) None
-    else if (llm.duplicationAcceptable(tableDesc, dups, df.count())) None
+    else if (llm.duplicationAcceptable(tableDesc, dups, profile.rowCount)) None
     else Some(CleaningStep("duplication", Seq.empty, dropExactDuplicates = true))
   }
 }

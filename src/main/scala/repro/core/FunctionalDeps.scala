@@ -1,8 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, functions => F}
+import org.apache.spark.sql.DataFrame
 import repro.llm.LLMClient
-import repro.profile.Profiler
+import repro.profile.{Profiler, TableProfile}
 
 /** §2.1.6 Functional Dependencies.
   *
@@ -18,6 +18,7 @@ object FunctionalDeps {
 
   def step(
       df: DataFrame,
+      profile: TableProfile,
       llm: LLMClient,
       exclude: Set[String] = Set.empty,
       minStrength: Double = 0.3,
@@ -25,31 +26,27 @@ object FunctionalDeps {
   ): Option[CleaningStep] = {
     val cols = StringOutliers.stringColumns(df, exclude)
     if (cols.size < 2) return None
-    val rows = df.count()
+    val rows = profile.rowCount
     if (rows == 0) return None
-    // One aggregation for all distinct counts — the lhs of a useful FD must
-    // repeat (a key trivially determines everything).
-    val distinctRow = df.agg(F.countDistinct(F.col(cols.head)).as(cols.head),
-                             cols.tail.map(c => F.countDistinct(F.col(c)).as(c)): _*).collect()(0)
-    val distincts = cols.zipWithIndex.map { case (c, i) => c -> distinctRow.getLong(i) }.toMap
 
-    // Semantic gate first (cheap), then statistical scoring (a Spark job per
-    // surviving pair) — same outcome as score-then-review, fewer jobs.
+    // Semantic gate first (cheap), then one statistical scoring query over
+    // the surviving pairs — same outcome as score-then-review. The lhs of a
+    // useful FD must repeat (a key trivially determines everything).
     val candidatePairs = for {
       lhs <- cols
       rhs <- cols
       if lhs != rhs
-      if distincts(lhs) > 1 && distincts(lhs) < rows * 0.9
+      if profile(lhs).distinctCount > 1 && profile(lhs).distinctCount < rows * 0.9
       if llm.reviewFdMeaningful(lhs, rhs)
     } yield (lhs, rhs)
 
-    val accepted = candidatePairs
-      .map { case (lhs, rhs) => Profiler.scoreFd(df, lhs, rhs) }
+    val accepted = Profiler
+      .scoreFds(df, candidatePairs, maxGroups)
       .filter(fd => fd.strength >= minStrength && fd.violatingGroups > 0)
 
     val casesByRhs: Map[String, Seq[FdCase]] = accepted
       .flatMap { fd =>
-        Profiler.fdViolatingGroups(df, fd.lhs, fd.rhs, maxGroups).flatMap { case (lhsVal, rhsValues) =>
+        fd.groups.flatMap { case (lhsVal, rhsValues) =>
           llm.resolveFdGroup(fd.lhs, fd.rhs, lhsVal, rhsValues).toSeq.flatMap { target =>
             rhsValues
               .filter(_.value != target)

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import repro.llm.LLMClient
-import repro.profile.Profiler
+import repro.profile.TableProfile
 
 /** §2.1.5 Numeric Outliers.
   *
@@ -15,12 +15,13 @@ object NumericOutliers {
 
   def step(
       df: DataFrame,
+      profile: TableProfile,
       llm: LLMClient,
       exclude: Set[String] = Set.empty,
   ): Option[CleaningStep] = {
     val cols = df.columns.toSeq.filterNot(exclude)
     val rewrites = cols.flatMap { c =>
-      val prof = Profiler.profileColumn(df, c, maxValues = 1)
+      val prof = profile(c)
       if (prof.numericParseRate < 0.99 || prof.minNumeric.isEmpty) None
       else
         llm.reviewNumericRange(c, prof.minNumeric.get, prof.maxNumeric.get).map { case (lo, hi) =>

@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import repro.llm.{Knowledge, LLMClient}
-import repro.profile.Profiler
+import repro.profile.TableProfile
 
 /** §2.1.2 Pattern Outliers.
   *
@@ -17,12 +17,13 @@ object PatternOutliers {
 
   def step(
       df: DataFrame,
+      profile: TableProfile,
       llm: LLMClient,
       exclude: Set[String] = Set.empty,
       maxValues: Int = 3000,
   ): Option[CleaningStep] = {
     val rewrites = StringOutliers.stringColumns(df, exclude).flatMap { c =>
-      val values = Profiler.profileColumn(df, c, maxValues).frequentValues
+      val values = profile.frequentValues(c, maxValues)
       llm.reviewPatterns(c, values).flatMap { review =>
         val family = Knowledge.formatFamilies.find(_.name == review.familyName).get
         val dominant = review.formatShares.toSeq.sortBy { case (f, n) => (-n, f) }.head._1

@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.types.StringType
 import repro.llm.LLMClient
-import repro.profile.Profiler
+import repro.profile.TableProfile
 
 /** §2.1.1 String Outliers.
   *
@@ -21,13 +21,14 @@ object StringOutliers {
 
   def step(
       df: DataFrame,
+      profile: TableProfile,
       llm: LLMClient,
       exclude: Set[String] = Set.empty,
       maxValues: Int = 1000,
       batchSize: Int = 1000,
   ): Option[CleaningStep] = {
     val rewrites = stringColumns(df, exclude).flatMap { c =>
-      val values = Profiler.profileColumn(df, c, maxValues).frequentValues
+      val values = profile.frequentValues(c, maxValues)
       // One LLM call per batch of distinct values, as the paper does to stay
       // inside the context window on wide domains.
       val unusual = values

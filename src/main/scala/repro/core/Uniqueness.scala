@@ -2,7 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.llm.LLMClient
-import repro.profile.Profiler
+import repro.profile.TableProfile
 import repro.util.SqlGen
 
 /** §2.1.8 Column Uniqueness.
@@ -26,10 +26,10 @@ object Uniqueness {
       .getOrElse(others.headOption.getOrElse(keyCol))
   }
 
-  def plan(df: DataFrame, llm: LLMClient, exclude: Set[String] = Set.empty): Option[Plan] = {
+  def plan(df: DataFrame, profile: TableProfile, llm: LLMClient, exclude: Set[String] = Set.empty): Option[Plan] = {
     val cols = df.columns.toSeq.filterNot(exclude)
     cols
-      .map(c => (c, Profiler.profileColumn(df, c, maxValues = 1).uniqueRatio))
+      .map(c => (c, profile(c).uniqueRatio))
       .find { case (c, ratio) => ratio < 1.0 && llm.shouldBeUnique(c, ratio) }
       .map { case (key, _) =>
         val ord = pickOrderColumn(df.columns.toSeq, key)
@@ -42,12 +42,7 @@ object Uniqueness {
       }
   }
 
-  private var viewCounter = 0
-
   /** Apply the dedupe plan by executing its window-function SQL. */
-  def apply(spark: SparkSession, df: DataFrame, p: Plan): DataFrame = {
-    val view = synchronized { viewCounter += 1; s"cocoon_uniq_$viewCounter" }
-    df.createOrReplaceTempView(view)
-    spark.sql(p.sql.replace("__input__", view))
-  }
+  def apply(spark: SparkSession, df: DataFrame, p: Plan): DataFrame =
+    CleaningStep.sqlOver(spark, df)(view => p.sql.replace("__input__", view))
 }

@@ -57,7 +57,7 @@ object LocalTable {
 
   /** Statistical single-attribute FD discovery on the snapshot: returns
     * (lhs, rhs, strength) for non-key lhs columns, mirroring
-    * [[repro.profile.Profiler.scoreFd]] semantics.
+    * [[repro.profile.Profiler.scoreFds]] semantics.
     */
   def fdCandidates(t: LocalTable, minStrength: Double): Seq[(String, String, Double)] = {
     val distincts = t.columns.map(c => c -> t.freq(c).size).toMap
@@ -71,7 +71,7 @@ object LocalTable {
     } yield (lhs, rhs, s)
   }
 
-  /** Plurality-agreement strength, matching [[repro.profile.Profiler.scoreFd]]:
+  /** Plurality-agreement strength, matching [[repro.profile.FdScore]]:
     * share of rows whose rhs equals their group's most frequent rhs.
     */
   def fdStrength(t: LocalTable, lhs: String, rhs: String): Double = {

@@ -14,7 +14,7 @@ object SqlGen {
   def lit(s: String): String =
     if (s == null) "NULL" else "'" + s.replace("'", "''") + "'"
 
-  /** Quote an identifier with double quotes (works on Spark and DuckDB). */
+  /** Spark-style identifier quoting: backticks, embedded backticks doubled. */
   def ident(name: String): String =
     "`" + name.replace("`", "``") + "`"
 

@@ -83,6 +83,25 @@ class CocoonPipelineSpec extends SparkSpec {
     assert(res.steps.exists(_.issue == "duplication"))
   }
 
+  test("no cocoon_ temp view remains after a run") {
+    // Runs that apply column rewrites and a uniqueness dedupe.
+    val rows = (0 until 19).map(i => (i.toLong, s"k$i", s"2020-01-${10 + i}")) :+
+      ((19L, "k0", "2021-06-01"))
+    val keyed = rows.toDF("row_id", "customer_id", "updated_at")
+    assert(CocoonPipeline.run(spark, keyed, llm).script.contains("uniqueness"))
+    assert(CocoonPipeline.run(spark, datesDf, llm).steps.nonEmpty)
+    val views = spark.catalog.listTables().collect().filter(_.isTemporary).map(_.name)
+    assert(!views.exists(_.startsWith("cocoon_")), views.mkString(", "))
+  }
+
+  test("a cached input stays cached after a run that rewrites it") {
+    val df = datesDf.cache()
+    try {
+      assert(CocoonPipeline.run(spark, df, llm).steps.nonEmpty)
+      assert(df.storageLevel.useMemory)
+    } finally df.unpersist()
+  }
+
   test("uniqueness stage dedupes a near-unique key table") {
     // 19 distinct keys over 20 rows (ratio 0.95): key-like and nearly unique.
     val rows = (0 until 19).map(i => (i.toLong, s"k$i", s"2020-01-${10 + i}")) :+

@@ -2,6 +2,7 @@ package repro.core
 
 import repro.SparkSpec
 import repro.llm.SimulatedLLM
+import repro.profile.TableProfile
 
 class DuplicationUniquenessSpec extends SparkSpec {
   import spark.implicits._
@@ -10,19 +11,19 @@ class DuplicationUniquenessSpec extends SparkSpec {
 
   test("duplication: erroneous duplicates are dropped via SELECT DISTINCT") {
     val df = (Seq.fill(3)(("a", "1")) ++ Seq(("b", "2"))).toDF("x", "y")
-    val step = Duplication.step(df, llm, "customers").get
+    val step = Duplication.step(df, TableProfile.of(df), llm, "customers").get
     assert(step.dropExactDuplicates)
     assert(CleaningStep.apply(spark, df, step).count() == 2)
   }
 
   test("duplication: log-like tables keep duplicates (semantic acceptance)") {
     val df = (Seq.fill(3)(("a", "1")) ++ Seq(("b", "2"))).toDF("x", "y")
-    assert(Duplication.step(df, llm, "sensor event log").isEmpty)
+    assert(Duplication.step(df, TableProfile.of(df), llm, "sensor event log").isEmpty)
   }
 
   test("duplication: no duplicates, no step") {
     val df = Seq(("a", "1"), ("b", "2")).toDF("x", "y")
-    assert(Duplication.step(df, llm, "customers").isEmpty)
+    assert(Duplication.step(df, TableProfile.of(df), llm, "customers").isEmpty)
   }
 
   test("uniqueness: near-unique key column deduped keeping latest by order column") {
@@ -30,7 +31,7 @@ class DuplicationUniquenessSpec extends SparkSpec {
     val rows = (0 until 19).map(i => (s"k$i", s"2020-01-${10 + i}", "old")) :+
       (("k0", "2021-06-01", "new"))
     val df = rows.toDF("customer_id", "updated_at", "payload")
-    val plan = Uniqueness.plan(df, llm).get
+    val plan = Uniqueness.plan(df, TableProfile.of(df), llm).get
     assert(plan.keyCol == "customer_id" && plan.orderCol == "updated_at")
     val out = Uniqueness.apply(spark, df, plan)
     assert(out.count() == 19)
@@ -40,12 +41,12 @@ class DuplicationUniquenessSpec extends SparkSpec {
 
   test("uniqueness: fully unique key needs no plan") {
     val df = Seq(("k1", "a"), ("k2", "b")).toDF("customer_id", "v")
-    assert(Uniqueness.plan(df, llm).isEmpty)
+    assert(Uniqueness.plan(df, TableProfile.of(df), llm).isEmpty)
   }
 
   test("uniqueness: non-key columns are not deduped") {
     val df = Seq(("Boston", "a"), ("Boston", "b"), ("Denver", "c")).toDF("city", "v")
-    assert(Uniqueness.plan(df, llm).isEmpty)
+    assert(Uniqueness.plan(df, TableProfile.of(df), llm).isEmpty)
   }
 
   test("uniqueness: order column prefers time-like names") {
@@ -55,6 +56,6 @@ class DuplicationUniquenessSpec extends SparkSpec {
 
   test("uniqueness: key column below the ratio bar is left alone") {
     val df = (Seq.fill(10)(("k1", "x")) ++ Seq.fill(10)(("k2", "y"))).toDF("customer_id", "v")
-    assert(Uniqueness.plan(df, llm).isEmpty)
+    assert(Uniqueness.plan(df, TableProfile.of(df), llm).isEmpty)
   }
 }

@@ -2,6 +2,7 @@ package repro.core
 
 import repro.SparkSpec
 import repro.llm.SimulatedLLM
+import repro.profile.TableProfile
 
 class FunctionalDepsSpec extends SparkSpec {
   import spark.implicits._
@@ -19,7 +20,7 @@ class FunctionalDepsSpec extends SparkSpec {
 
   test("repairs a confident violating group to the majority value") {
     val df = providerDf(corrupt = 3)
-    val out = CleaningStep.apply(spark, df, FunctionalDeps.step(df, llm).get)
+    val out = CleaningStep.apply(spark, df, FunctionalDeps.step(df, TableProfile.of(df), llm).get)
     assert(out.filter("city = 'Reno'").count() == 0)
     assert(out.filter("provider_id = '10001' AND city = 'Dothan'").count() == 20)
   }
@@ -27,25 +28,32 @@ class FunctionalDepsSpec extends SparkSpec {
   test("declines groups without a confident majority (Flights ambiguity)") {
     // 10 of 20 corrupted → majority share 0.5 < 0.6 → left alone.
     val df = providerDf(corrupt = 10)
-    val step = FunctionalDeps.step(df, llm)
+    val step = FunctionalDeps.step(df, TableProfile.of(df), llm)
     assert(step.isEmpty || CleaningStep.apply(spark, df, step.get).filter("city = 'Reno'").count() == 10)
   }
 
   test("semantically meaningless FDs are rejected even when statistically strong") {
     val rows = (0 until 40).map(i => (s"s${i / 10}", if (i % 10 == 0) "odd" else "even"))
     val df = rows.toDF("score", "sample")
-    assert(FunctionalDeps.step(df, llm).isEmpty)
+    assert(FunctionalDeps.step(df, TableProfile.of(df), llm).isEmpty)
   }
 
   test("exact FDs with no violations produce no step") {
     val df = providerDf(corrupt = 0)
-    assert(FunctionalDeps.step(df, llm).isEmpty)
+    assert(FunctionalDeps.step(df, TableProfile.of(df), llm).isEmpty)
   }
 
   test("key-like lhs columns are skipped") {
     val rows = (0 until 20).map(i => (s"id$i", s"city$i"))
     val df = rows.toDF("provider_id", "city")
-    assert(FunctionalDeps.step(df, llm).isEmpty)
+    assert(FunctionalDeps.step(df, TableProfile.of(df), llm).isEmpty)
+  }
+
+  test("constant lhs columns are skipped") {
+    // One provider: its corrupted city would be a violation if a constant
+    // column counted as an FD lhs.
+    val df = (Seq.fill(19)(("10001", "Dothan")) :+ (("10001", "Reno"))).toDF("provider_id", "city")
+    assert(FunctionalDeps.step(df, TableProfile.of(df), llm).isEmpty)
   }
 
   test("multiple FDs on the same rhs merge into one rewrite") {
@@ -56,7 +64,7 @@ class FunctionalDepsSpec extends SparkSpec {
       (p, z, city)
     }
     val df = rows.toDF("provider_id", "zip", "city")
-    val step = FunctionalDeps.step(df, llm).get
+    val step = FunctionalDeps.step(df, TableProfile.of(df), llm).get
     assert(step.rewrites.size == 1 && step.rewrites.head.column == "city")
     val out = CleaningStep.apply(spark, df, step)
     assert(out.filter("city = 'Reno'").count() == 0)
@@ -67,7 +75,7 @@ class FunctionalDepsSpec extends SparkSpec {
       Seq.fill(4)((s"${10000 + g}", s"city$g")) :+ (s"${10000 + g}", "WRONG")
     }
     val df = rows.toDF("provider_id", "city")
-    val step = FunctionalDeps.step(df, llm, maxGroups = 50).get
+    val step = FunctionalDeps.step(df, TableProfile.of(df), llm, maxGroups = 50).get
     val fd = step.rewrites.head.rewrite.asInstanceOf[FdRepair]
     assert(fd.cases.size == 50)
   }

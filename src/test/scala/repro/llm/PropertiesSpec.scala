@@ -2,28 +2,13 @@ package repro.llm
 
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalacheck.Gen
-import org.scalacheck.rng.Seed
+import repro.Seeded.{forAll => forAllSeeded}
 import repro.util.SqlGen
 
 /** Property-based coverage of the distance and SQL-quoting substrate, using
-  * ScalaCheck generators with a fixed seed (deterministic, offline-friendly —
-  * the scalatestplus bridge artifact is not available in this image).
+  * ScalaCheck generators with a fixed seed (see [[repro.Seeded]]).
   */
 class PropertiesSpec extends AnyFunSuite {
-
-  /** Draw `n` samples from `gen` deterministically and check each. */
-  private def forAllSeeded[A](gen: Gen[A], n: Int = 200)(f: A => Unit): Unit = {
-    val params = Gen.Parameters.default
-    var seed = Seed(42L)
-    var drawn = 0
-    var attempts = 0
-    while (drawn < n && attempts < n * 20) {
-      gen.apply(params, seed).foreach { a => f(a); drawn += 1 }
-      seed = seed.next
-      attempts += 1
-    }
-    assert(drawn > n / 2, s"generator too sparse: $drawn/$n")
-  }
 
   private val word: Gen[String] = Gen.alphaLowerStr.map(_.take(12))
   private val wordPair: Gen[(String, String)] = Gen.zip(word, word)
