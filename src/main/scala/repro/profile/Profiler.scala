@@ -178,7 +178,7 @@ object Profiler {
         val h = rs.head
         val groups = rs.toSeq
           .filter(_.getLong(4) > 1)
-          .sortBy(x => (x.getString(1), x.getInt(5)))
+          .sortBy(_.getInt(5))
           .groupBy(_.getString(1))
           .toSeq
           .sortBy(_._1)

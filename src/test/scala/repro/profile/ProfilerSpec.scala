@@ -1,5 +1,6 @@
 package repro.profile
 
+import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
 
 class ProfilerSpec extends SparkSpec {
@@ -13,7 +14,7 @@ class ProfilerSpec extends SparkSpec {
 
   private lazy val profile = TableProfile.of(df)
 
-  private def scoreFd(d: org.apache.spark.sql.DataFrame, maxGroups: Int = 500): FdScore =
+  private def scoreFd(d: DataFrame, maxGroups: Int = 500): FdScore =
     Profiler.scoreFds(d, Seq("l" -> "r"), maxGroups).head
 
   test("profileColumn counts rows, nulls, distincts") {
