@@ -23,9 +23,11 @@ final case class MapToNull(values: Seq[String]) extends Rewrite
 final case class RangeClamp(lo: Option[Double], hi: Option[Double]) extends Rewrite
 
 /** One FD-violation repair: in rows where `lhsCol = lhsVal`, replace the bad
-  * rhs value with the resolved correct one (§2.1.6).
+  * rhs value with the resolved correct one (§2.1.6). `rows` is the number of
+  * rows with `(lhsVal, badRhs)` that the FD query counted; the SQL ignores it,
+  * and [[ProfileCarry]] uses it to move those rows in the column's profile.
   */
-final case class FdCase(lhsCol: String, lhsVal: String, badRhs: String, target: String)
+final case class FdCase(lhsCol: String, lhsVal: String, badRhs: String, target: String, rows: Long)
 
 /** `CASE WHEN lhs='l' AND col='bad' THEN 'good' ... ELSE col END`. */
 final case class FdRepair(cases: Seq[FdCase]) extends Rewrite

@@ -30,8 +30,10 @@ final case class CocoonResult(cleaned: DataFrame, steps: Seq[CleaningStep], scri
   *
   * Each stage's detection runs against the *output* of the previous stage, so
   * e.g. FD grouping sees typo-fixed values — the reason the order matters.
-  * Stages share one [[TableProfile]] per table state, so a run profiles the
-  * table once plus once after each step that rewrites it.
+  * Stages share one [[TableProfile]] per table state. A run profiles its
+  * input once; after each step the next profile is carried on the driver
+  * ([[ProfileCarry]]), and the table is profiled again only where the carry
+  * cannot be exact.
   */
 object CocoonPipeline {
 
@@ -47,21 +49,16 @@ object CocoonPipeline {
     var ctes    = Vector.empty[(String, String)] // (cteName, selectSql)
     var rel     = "input"
 
-    // One profile per table state: built on first use, dropped when a step
-    // rewrites the table.
-    var profile = Option.empty[TableProfile]
-    def profiled: TableProfile = profile.getOrElse {
-      val p = TableProfile.of(df, exclude, math.max(cfg.maxFrequentValues, TableProfile.MaxValues))
-      profile = Some(p)
-      p
-    }
+    val maxValues = math.max(cfg.maxFrequentValues, TableProfile.MaxValues)
+    var profile   = TableProfile.of(df, exclude, maxValues)
 
     def runStage(name: String, mk: (DataFrame, TableProfile) => Option[CleaningStep]): Unit =
-      mk(df, profiled).filterNot(_.isNoop).foreach { step =>
-        val sql = CleaningStep.renderSelect(step, df.columns.toSeq, rel, SqlGen.ident)
+      mk(df, profile).filterNot(_.isNoop).foreach { step =>
+        val sql     = CleaningStep.renderSelect(step, df.columns.toSeq, rel, SqlGen.ident)
+        val carried = ProfileCarry.after(spark, df, profile, step)
         df = CleaningStep.apply(spark, df, step)
         df = df.localCheckpoint(eager = true) // keep lineage flat across 8 stages
-        profile = None
+        profile = carried.getOrElse(TableProfile.of(df, exclude, maxValues))
         val cte = s"cleaned_${steps.size + 1}_${name.replace('-', '_')}"
         ctes :+= (cte, sql)
         rel = cte
@@ -78,7 +75,7 @@ object CocoonPipeline {
 
     // §2.1.8 uniqueness dedupes rows via a window function, outside the
     // column-rewrite model.
-    Uniqueness.plan(df, profiled, llm, exclude).foreach { p =>
+    Uniqueness.plan(df, profile, llm, Some(cfg.keyCol)).foreach { p =>
       df = Uniqueness.apply(spark, df, p)
       ctes :+= (s"cleaned_${ctes.size + 1}_uniqueness", p.sql.replace("__input__", rel))
       rel = ctes.last._1

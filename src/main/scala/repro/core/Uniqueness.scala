@@ -26,17 +26,22 @@ object Uniqueness {
       .getOrElse(others.headOption.getOrElse(keyCol))
   }
 
-  def plan(df: DataFrame, profile: TableProfile, llm: LLMClient, exclude: Set[String] = Set.empty): Option[Plan] = {
-    val cols = df.columns.toSeq.filterNot(exclude)
+  /** `rowKey`, the table's row identifier, is never a candidate and breaks
+    * ties in the order column, so the surviving row does not depend on how
+    * the input is partitioned.
+    */
+  def plan(df: DataFrame, profile: TableProfile, llm: LLMClient, rowKey: Option[String] = None): Option[Plan] = {
+    val cols = df.columns.toSeq.filterNot(rowKey.contains)
     cols
       .map(c => (c, profile(c).uniqueRatio))
       .find { case (c, ratio) => ratio < 1.0 && llm.shouldBeUnique(c, ratio) }
       .map { case (key, _) =>
         val ord = pickOrderColumn(df.columns.toSeq, key)
         val q   = SqlGen.ident _
+        val by  = (s"${q(ord)} DESC" +: rowKey.filterNot(_ == ord).map(q).toSeq).mkString(", ")
         val sql =
           s"""SELECT ${df.columns.map(q).mkString(", ")} FROM (
-             |  SELECT *, ROW_NUMBER() OVER (PARTITION BY ${q(key)} ORDER BY ${q(ord)} DESC) AS __rn FROM __input__
+             |  SELECT *, ROW_NUMBER() OVER (PARTITION BY ${q(key)} ORDER BY $by) AS __rn FROM __input__
              |) WHERE __rn = 1""".stripMargin
         Plan(key, ord, sql)
       }

@@ -16,7 +16,7 @@ class CleaningStepSpec extends SparkSpec {
   }
 
   test("renderExpr FdRepair guards on both lhs and rhs") {
-    val sql = CleaningStep.renderExpr("city", FdRepair(Seq(FdCase("zip", "36000", "Boston", "Dothan"))), SqlGen.ident)
+    val sql = CleaningStep.renderExpr("city", FdRepair(Seq(FdCase("zip", "36000", "Boston", "Dothan", 1L))), SqlGen.ident)
     assert(sql.contains("`zip` = '36000' AND `city` = 'Boston' THEN 'Dothan'"))
   }
 
@@ -72,7 +72,7 @@ class CleaningStepSpec extends SparkSpec {
 
   test("generated SQL is portable: FdRepair step") {
     val fdf = Seq((1L, "z1", "Boston"), (2L, "z1", "Dothan"), (3L, "z2", "Reno")).toDF("row_id", "zip", "city")
-    val step = CleaningStep("fd", Seq(ColumnRewrite("city", FdRepair(Seq(FdCase("zip", "z1", "Boston", "Dothan"))), "r")))
+    val step = CleaningStep("fd", Seq(ColumnRewrite("city", FdRepair(Seq(FdCase("zip", "z1", "Boston", "Dothan", 1L))), "r")))
     val sparkOut = CleaningStep.apply(spark, fdf, step)
     val duckSql = CleaningStep.renderSelect(step, Seq("row_id", "zip", "city"), "input", SqlGen.identAnsi)
     Oracle.assertEquivalent(sparkOut, duckSql, "input" -> fdf)

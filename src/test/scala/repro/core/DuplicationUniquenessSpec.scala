@@ -39,6 +39,21 @@ class DuplicationUniquenessSpec extends SparkSpec {
     assert(out.columns.toSeq == df.columns.toSeq)
   }
 
+  test("uniqueness: ties in the order column go to the lowest row key under any partitioning") {
+    // k0 appears twice with the same updated_at; only the row key separates them.
+    val rows = (0 until 19).map(i => (i.toLong + 10, s"k$i", s"2020-01-${10 + i}", "old")) :+
+      ((3L, "k0", "2020-01-10", "tied"))
+    val df = rows.toDF("row_id", "customer_id", "updated_at", "payload")
+    val plan = Uniqueness.plan(df, TableProfile.of(df, Set("row_id")), llm, Some("row_id")).get
+    assert(plan.keyCol == "customer_id" && plan.orderCol == "updated_at")
+    def survivor(in: org.apache.spark.sql.DataFrame) =
+      Uniqueness.apply(spark, in, plan).filter("customer_id = 'k0'").select("row_id", "payload").collect().toSeq
+    val one  = survivor(df.repartition(1))
+    val many = survivor(df.repartition(7, $"row_id").sortWithinPartitions($"row_id".desc))
+    assert(one.map(r => (r.getLong(0), r.getString(1))) == Seq((3L, "tied")))
+    assert(many == one)
+  }
+
   test("uniqueness: fully unique key needs no plan") {
     val df = Seq(("k1", "a"), ("k2", "b")).toDF("customer_id", "v")
     assert(Uniqueness.plan(df, TableProfile.of(df), llm).isEmpty)

@@ -4,6 +4,7 @@ import org.scalatest.funsuite.AnyFunSuite
 
 class KnowledgeSpec extends AnyFunSuite {
   import Knowledge._
+  import Levenshtein.{distance => levenshtein}
 
   test("levenshtein of identical strings is 0") { assert(levenshtein("abc", "abc") == 0) }
   test("levenshtein counts substitutions") { assert(levenshtein("kitten", "sitten") == 1) }

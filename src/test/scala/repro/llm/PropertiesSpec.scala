@@ -15,31 +15,31 @@ class PropertiesSpec extends AnyFunSuite {
 
   test("levenshtein is symmetric") {
     forAllSeeded(wordPair) { case (a, b) =>
-      assert(Knowledge.levenshtein(a, b) == Knowledge.levenshtein(b, a))
+      assert(Levenshtein.distance(a, b) == Levenshtein.distance(b, a))
     }
   }
 
   test("levenshtein is zero iff equal") {
     forAllSeeded(wordPair) { case (a, b) =>
-      assert((Knowledge.levenshtein(a, b) == 0) == (a == b))
+      assert((Levenshtein.distance(a, b) == 0) == (a == b))
     }
   }
 
   test("levenshtein satisfies the triangle inequality") {
     forAllSeeded(Gen.zip(word, word, word)) { case (a, b, c) =>
-      assert(Knowledge.levenshtein(a, c) <= Knowledge.levenshtein(a, b) + Knowledge.levenshtein(b, c))
+      assert(Levenshtein.distance(a, c) <= Levenshtein.distance(a, b) + Levenshtein.distance(b, c))
     }
   }
 
   test("levenshtein is bounded by the longer string") {
     forAllSeeded(wordPair) { case (a, b) =>
-      assert(Knowledge.levenshtein(a, b) <= math.max(a.length, b.length))
+      assert(Levenshtein.distance(a, b) <= math.max(a.length, b.length))
     }
   }
 
   test("damerau never exceeds levenshtein") {
     forAllSeeded(wordPair) { case (a, b) =>
-      assert(Knowledge.damerau(a, b) <= Knowledge.levenshtein(a, b))
+      assert(Knowledge.damerau(a, b) <= Levenshtein.distance(a, b))
     }
   }
 

@@ -1,0 +1,142 @@
+package repro.profile
+
+import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.types.{IntegerType, LongType, StringType, StructField, StructType}
+import org.scalacheck.Gen
+import repro.{JobCounting, Seeded}
+import repro.core._
+import repro.eval.Harness
+import repro.llm.SimulatedLLM
+
+/** The profile [[ProfileCarry]] derives on the driver equals the one
+  * [[TableProfile.of]] measures on the rewritten table, wherever the carry is
+  * defined, and deriving it starts no Spark job.
+  *
+  * Profiles are compared up to the sign of a zero minimum or maximum: with
+  * both "-0" and "0" in a column, Spark's `min` keeps whichever it meets
+  * first.
+  */
+class ProfileCarrySpec extends JobCounting {
+
+  private val schema = StructType(Seq(
+    StructField("row_id", LongType, nullable = false),
+    StructField("a", StringType),
+    StructField("b", StringType),
+    StructField("c", StringType),
+    StructField("empty", StringType),
+    StructField("qty", IntegerType),
+  ))
+  private val strings = Seq("a", "b", "c", "empty")
+
+  // Numbers Spark and Scala parse differently, quotes, and a character
+  // outside the Basic Multilingual Plane against U+FFFD, which sort one way
+  // in UTF-8 and the other in UTF-16.
+  private val pool = Seq[String](
+    null, "NaN", "Infinity", "-Infinity", "-0", "0", "1e3", " 12 ", "12", "it's", "O'Brien",
+    "😀", "�", "a", "ab", "",
+  )
+  private val value   = Gen.oneOf(pool)
+  private val nonNull = Gen.oneOf(pool.filter(_ != null))
+  private val bound = Gen.option(Gen.oneOf(-1.0, 0.0, 12.0, 100.0, 1000.0))
+
+  private val table: Gen[Seq[Row]] = for {
+    n    <- Gen.chooseNum(0, 30)
+    // A few values per column, so counts tie often.
+    pools <- Gen.listOfN(3, Gen.pick(4, pool))
+    rows <- Gen.listOfN(n, Gen.zip(Gen.oneOf(pools(0)), Gen.oneOf(pools(1)), Gen.oneOf(pools(2)), Gen.oneOf[Integer](null, 0, 7)))
+  } yield rows.zipWithIndex.map { case ((a, b, c, q), k) => Row(k.toLong, a, b, c, null, q) }
+
+  /** A single-lhs FD repair of `rhs` over `rows`, each arm carrying the
+    * number of rows it moves.
+    */
+  private def fdRepair(rows: Seq[Row], rhs: String): Gen[Rewrite] = for {
+    lhs     <- Gen.oneOf(strings.filterNot(_ == rhs))
+    li = schema.fieldIndex(lhs); ri = schema.fieldIndex(rhs)
+    counts = rows.filter(r => !r.isNullAt(li) && !r.isNullAt(ri)).groupBy(r => (r.getString(li), r.getString(ri))).view.mapValues(_.size.toLong).toSeq.sortBy(_._1)
+    arms    <- Gen.someOf(counts)
+    targets <- Gen.listOfN(arms.size, nonNull)
+  } yield FdRepair(arms.toSeq.zip(targets).map { case (((l, bad), n), t) => FdCase(lhs, l, bad, t, n) })
+
+  private def rewrite(rows: Seq[Row], col: String): Gen[Rewrite] = {
+    val clamp = Gen.zip(bound, bound).map { case (lo, hi) => RangeClamp(lo, hi) }
+    if (col == "qty") clamp
+    else Gen.oneOf(
+      Gen.listOf(Gen.zip(nonNull, value)).map(MapValues(_)),
+      Gen.someOf(pool.filter(_ != null)).map(vs => MapToNull(vs.toSeq)),
+      clamp,
+      fdRepair(rows, col),
+    )
+  }
+
+  private def step(rows: Seq[Row]): Gen[CleaningStep] = for {
+    strs     <- Gen.atLeastOne(strings)
+    cols     <- Gen.frequency(4 -> Gen.const(strs.toSeq), 1 -> Gen.const(strs.toSeq :+ "qty"))
+    rewrites <- Gen.sequence[Seq[Rewrite], Rewrite](cols.toSeq.map(rewrite(rows, _)))
+  } yield CleaningStep("carry", cols.toSeq.zip(rewrites).map { case (c, rw) => ColumnRewrite(c, rw, "r") })
+
+  private def canon(p: TableProfile) = {
+    def bits(d: Option[Double]) = d.map(x => java.lang.Double.doubleToLongBits(x + 0.0)) // -0.0 + 0.0 is 0.0
+    (p.rowCount, p.maxValues, p.columns.view.mapValues(c =>
+      (c.copy(minNumeric = None, maxNumeric = None), bits(c.minNumeric), bits(c.maxNumeric))).toMap)
+  }
+
+  /** The carried profile, checked against a fresh one wherever it is defined. */
+  private def carryChecked(df: DataFrame, before: TableProfile, step: CleaningStep, exclude: Set[String]): Option[TableProfile] = {
+    val (carried, jobs) = countingJobs(ProfileCarry.after(spark, df, before, step))
+    assert(jobs == 0, s"carrying ${step.issue} started $jobs Spark jobs")
+    carried.foreach { c =>
+      val rebuilt = TableProfile.of(CleaningStep.apply(spark, df, step), exclude, before.maxValues)
+      assert(canon(c) == canon(rebuilt), s"carried ≠ rebuilt after $step")
+    }
+    carried
+  }
+
+  test("the carried profile equals a fresh profile after random value maps and FD repairs") {
+    val gen = for { rows <- table; s <- step(rows); cap <- Gen.frequency(1 -> Gen.oneOf(1, 2, 3), 2 -> Gen.const(1000)) } yield (rows, s, cap)
+    var carried = 0
+    Seeded.forAll(gen, n = 80) { case (rows, s, cap) =>
+      val df = spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), schema)
+      val before = TableProfile.of(df, Set("row_id"), cap)
+      val complete = s.rewrites.forall { r =>
+        r.column != "qty" && before(r.column).distinctCount == before(r.column).frequentValues.size
+      }
+      val result = carryChecked(df, before, s, Set("row_id"))
+      assert(result.isDefined == complete, s"carry defined = ${result.isDefined} for $s at cap $cap")
+      if (result.isDefined) carried += 1
+    }
+    assert(carried >= 30, s"only $carried of 80 samples carried")
+  }
+
+  test("the carry is undefined where it cannot be exact") {
+    import spark.implicits._
+    val df = Seq((1L, "z1", "x1", "Boston"), (2L, "z1", "x1", "Dothan"), (3L, "z2", "x2", "Reno"))
+      .toDF("row_id", "zip", "phone", "city")
+    val p = TableProfile.of(df, Set("row_id"))
+    def carry(rws: (String, Rewrite)*) =
+      ProfileCarry.after(spark, df, p, CleaningStep("s", rws.map { case (c, rw) => ColumnRewrite(c, rw, "r") }))
+
+    assert(ProfileCarry.after(spark, df, p, CleaningStep("dup", Seq.empty, dropExactDuplicates = true)).isEmpty)
+    assert(carry("row_id" -> RangeClamp(Some(2.0), None)).isEmpty, "non-string, unprofiled column")
+    assert(ProfileCarry.after(spark, df, TableProfile.of(df, Set("row_id"), maxValues = 1), CleaningStep("s",
+      Seq(ColumnRewrite("city", MapToNull(Seq("Reno")), "r")))).isEmpty, "truncated profile")
+    // Both arms match row 1: its zip is z1 and its phone is x1.
+    assert(carry("city" -> FdRepair(Seq(FdCase("zip", "z1", "Boston", "Dothan", 1L), FdCase("phone", "x1", "Boston", "Reno", 1L)))).isEmpty)
+    assert(carry("city" -> FdRepair(Seq(FdCase("zip", "z1", "Boston", "Dothan", 1L)))).isDefined)
+    assert(carry("city" -> MapValues(Seq("Reno" -> "Dothan"))).isDefined)
+  }
+
+  for (name <- Harness.table1Datasets)
+    test(s"replaying Cocoon's steps on $name, every carried profile equals a fresh one") {
+      val ds = Harness.dataset(spark, name)
+      val exclude = Set(ds.keyCol)
+      val result = CocoonPipeline.run(spark, ds.dirty, new SimulatedLLM(), CocoonConfig(keyCol = ds.keyCol, tableDesc = ds.name))
+      assert(result.steps.nonEmpty)
+      var df = ds.dirty
+      val carried = result.steps.map { s =>
+        val c = carryChecked(df, TableProfile.of(df, exclude), s, exclude)
+        df = CleaningStep.apply(spark, df, s).localCheckpoint()
+        s.issue -> c.isDefined
+      }
+      if (name == "flights") assert(carried.forall(_._2), s"flights steps not carried: $carried")
+    }
+}
