@@ -3,6 +3,7 @@ package repro.core
 import java.util.concurrent.atomic.AtomicLong
 
 import org.apache.spark.sql.{classic, DataFrame, SparkSession}
+import org.apache.spark.sql.types.StringType
 import repro.util.SqlGen
 
 /** How one column is rewritten by a cleaning step. All of Cocoon's cleaning
@@ -37,18 +38,36 @@ final case class FdRepair(cases: Seq[FdCase]) extends Rewrite
   */
 final case class ColumnRewrite(column: String, rewrite: Rewrite, reasoning: String)
 
-/** One stage of the pipeline: all rewrites for one issue type, applied as a
-  * single SELECT. `dropExactDuplicates` models §2.1.7's SELECT DISTINCT.
+/** Which rows a step keeps. Column rewrites change values in place; the two
+  * row-level issues (§2.1.7, §2.1.8) remove rows, and say why.
   */
-final case class CleaningStep(
-    issue: String,
-    rewrites: Seq[ColumnRewrite],
-    dropExactDuplicates: Boolean = false,
-) {
-  def isNoop: Boolean = rewrites.isEmpty && !dropExactDuplicates
+sealed trait RowAction
+
+/** Every row survives: the column-rewrite stages. */
+case object KeepAllRows extends RowAction
+
+/** `SELECT DISTINCT`: one copy of each fully duplicated row (§2.1.7). */
+final case class DistinctRows(reasoning: String) extends RowAction
+
+/** One row per value of `key`: the first by `orderCol` descending, NULLs
+  * last, ties to the lowest `rowKey`, so the survivor depends neither on the
+  * engine nor on how the input is partitioned (§2.1.8).
+  */
+final case class KeepFirstPerKey(key: String, orderCol: String, rowKey: Option[String], reasoning: String)
+    extends RowAction
+
+/** One stage of the pipeline: all rewrites for one issue type and the rows it
+  * keeps, applied as a single SELECT.
+  */
+final case class CleaningStep(issue: String, rewrites: Seq[ColumnRewrite], rows: RowAction = KeepAllRows) {
+  def isNoop: Boolean = rewrites.isEmpty && rows == KeepAllRows
 }
 
 object CleaningStep {
+
+  /** String-typed columns eligible for cleaning. */
+  def stringColumns(df: DataFrame, exclude: Set[String]): Seq[String] =
+    df.schema.fields.filter(f => f.dataType == StringType && !exclude(f.name)).map(_.name).toSeq
 
   /** Render a rewrite as a SQL expression in the given identifier dialect
     * (backticks for Spark, double quotes for DuckDB — the oracle re-runs the
@@ -71,7 +90,9 @@ object CleaningStep {
       }
   }
 
-  /** Full SELECT for one step over `fromRelation`, with reasoning comments. */
+  /** Full SELECT for one step over `fromRelation`, with reasoning comments.
+    * `KeepFirstPerKey` picks its rows before the rewrites, `DISTINCT` after.
+    */
   def renderSelect(
       step: CleaningStep,
       allColumns: Seq[String],
@@ -79,8 +100,16 @@ object CleaningStep {
       quote: String => String,
   ): String = {
     val byCol = step.rewrites.map(r => r.column -> r).toMap
-    val comments = step.rewrites
-      .map(r => SqlGen.comment(s"${r.column}: ${r.reasoning}"))
+    val (rowReasoning, distinct, from) = step.rows match {
+      case KeepAllRows       => (None, "", fromRelation)
+      case DistinctRows(why) => (Some(why), "DISTINCT ", fromRelation)
+      case KeepFirstPerKey(key, ord, rowKey, why) =>
+        val by = (s"${quote(ord)} DESC NULLS LAST" +: rowKey.filterNot(_ == ord).map(quote).toSeq).mkString(", ")
+        val ranked = s"SELECT *, ROW_NUMBER() OVER (PARTITION BY ${quote(key)} ORDER BY $by) AS __rn FROM $fromRelation"
+        (Some(why), "", s"(\n  $ranked\n) WHERE __rn = 1")
+    }
+    val comments = (step.rewrites.map(r => s"${r.column}: ${r.reasoning}") ++ rowReasoning)
+      .map(SqlGen.comment)
       .mkString("\n")
     val items = allColumns
       .map { c =>
@@ -90,9 +119,8 @@ object CleaningStep {
         }
       }
       .mkString(",\n  ")
-    val distinct = if (step.dropExactDuplicates) "DISTINCT " else ""
-    val head     = if (comments.nonEmpty) comments + "\n" else ""
-    s"${head}SELECT $distinct$items\nFROM $fromRelation"
+    val head = if (comments.nonEmpty) comments + "\n" else ""
+    s"${head}SELECT $distinct$items\nFROM $from"
   }
 
   /** Apply one step by executing its generated SQL through Catalyst — the

@@ -5,16 +5,11 @@ import repro.llm.LLMClient
 import repro.profile.TableProfile
 import repro.util.SqlGen
 
-/** Configuration knobs for one pipeline run. `keyCol` is the row identifier
-  * and is never rewritten; `tableDesc` feeds the duplication judgement.
+/** One pipeline run's inputs besides the table. `keyCol` is the row
+  * identifier and is never rewritten; `tableDesc` feeds the duplication
+  * judgement.
   */
-final case class CocoonConfig(
-    keyCol: String = "row_id",
-    tableDesc: String = "table",
-    valueBatchSize: Int = 1000,
-    maxFrequentValues: Int = 1000,
-    minFdStrength: Double = 0.3,
-)
+final case class CocoonConfig(keyCol: String = "row_id", tableDesc: String = "table")
 
 /** The result of a Cocoon run: the cleaned DataFrame, the per-issue steps
   * that fired, and the full commented SQL script (Figure 5 analogue) — a CTE
@@ -33,7 +28,7 @@ final case class CocoonResult(cleaned: DataFrame, steps: Seq[CleaningStep], scri
   * Stages share one [[TableProfile]] per table state. A run profiles its
   * input once; after each step the next profile is carried on the driver
   * ([[ProfileCarry]]), and the table is profiled again only where the carry
-  * cannot be exact.
+  * cannot be exact and a later stage reads the profile.
   */
 object CocoonPipeline {
 
@@ -44,41 +39,35 @@ object CocoonPipeline {
       cfg: CocoonConfig = CocoonConfig(),
   ): CocoonResult = {
     val exclude = Set(cfg.keyCol)
+    val stages: Seq[(String, (DataFrame, TableProfile) => Option[CleaningStep])] = Seq(
+      ("string_outliers", StringOutliers.step(_, _, llm, exclude)),
+      ("pattern_outliers", PatternOutliers.step(_, _, llm, exclude)),
+      ("dmv", Dmv.step(_, _, llm, exclude)),
+      ("column_type", ColumnType.step(_, _, llm, exclude)),
+      ("numeric_outliers", NumericOutliers.step(_, _, llm, exclude)),
+      ("functional_deps", FunctionalDeps.step(_, _, llm, exclude)),
+      ("duplication", Duplication.step(_, _, llm, cfg.tableDesc)),
+      ("uniqueness", Uniqueness.step(_, _, llm, Some(cfg.keyCol))),
+    )
+
     var df      = input
+    var profile = Option.empty[TableProfile] // None: not yet built for this table state
     var steps   = Vector.empty[CleaningStep]
     var ctes    = Vector.empty[(String, String)] // (cteName, selectSql)
     var rel     = "input"
 
-    val maxValues = math.max(cfg.maxFrequentValues, TableProfile.MaxValues)
-    var profile   = TableProfile.of(df, exclude, maxValues)
-
-    def runStage(name: String, mk: (DataFrame, TableProfile) => Option[CleaningStep]): Unit =
-      mk(df, profile).filterNot(_.isNoop).foreach { step =>
-        val sql     = CleaningStep.renderSelect(step, df.columns.toSeq, rel, SqlGen.ident)
-        val carried = ProfileCarry.after(spark, df, profile, step)
-        df = CleaningStep.apply(spark, df, step)
-        df = df.localCheckpoint(eager = true) // keep lineage flat across 8 stages
-        profile = carried.getOrElse(TableProfile.of(df, exclude, maxValues))
-        val cte = s"cleaned_${steps.size + 1}_${name.replace('-', '_')}"
-        ctes :+= (cte, sql)
+    for ((name, stage) <- stages) {
+      val p = profile.getOrElse(TableProfile.of(df, exclude))
+      profile = Some(p)
+      stage(df, p).filterNot(_.isNoop).foreach { step =>
+        val cte = s"cleaned_${steps.size + 1}_$name"
+        ctes :+= (cte, CleaningStep.renderSelect(step, df.columns.toSeq, rel, SqlGen.ident))
+        profile = ProfileCarry.after(spark, df, p, step)
+        // keep lineage flat across the eight stages
+        df = CleaningStep.apply(spark, df, step).localCheckpoint(eager = true)
         rel = cte
         steps :+= step
       }
-
-    runStage("string-outliers", (d, p) => StringOutliers.step(d, p, llm, exclude, cfg.maxFrequentValues, cfg.valueBatchSize))
-    runStage("pattern-outliers", (d, p) => PatternOutliers.step(d, p, llm, exclude))
-    runStage("dmv", (d, p) => Dmv.step(d, p, llm, exclude))
-    runStage("column-type", (d, p) => ColumnType.step(d, p, llm, exclude))
-    runStage("numeric-outliers", (d, p) => NumericOutliers.step(d, p, llm, exclude))
-    runStage("functional-deps", (d, p) => FunctionalDeps.step(d, p, llm, exclude, cfg.minFdStrength))
-    runStage("duplication", (d, p) => Duplication.step(d, p, llm, cfg.tableDesc))
-
-    // §2.1.8 uniqueness dedupes rows via a window function, outside the
-    // column-rewrite model.
-    Uniqueness.plan(df, profile, llm, Some(cfg.keyCol)).foreach { p =>
-      df = Uniqueness.apply(spark, df, p)
-      ctes :+= (s"cleaned_${ctes.size + 1}_uniqueness", p.sql.replace("__input__", rel))
-      rel = ctes.last._1
     }
 
     val script =

@@ -17,15 +17,12 @@ import repro.profile.TableProfile
   */
 object ColumnType {
 
-  def step(
-      df: DataFrame,
-      profile: TableProfile,
-      llm: LLMClient,
-      exclude: Set[String] = Set.empty,
-      maxValues: Int = 3000,
-  ): Option[CleaningStep] = {
-    val rewrites = StringOutliers.stringColumns(df, exclude).flatMap { c =>
-      val values = profile.frequentValues(c, maxValues)
+  /** Most frequent values the LLM reviews per column. */
+  private val MaxValues = 3000
+
+  def step(df: DataFrame, profile: TableProfile, llm: LLMClient, exclude: Set[String] = Set.empty): Option[CleaningStep] = {
+    val rewrites = CleaningStep.stringColumns(df, exclude).flatMap { c =>
+      val values = profile.frequentValues(c, MaxValues)
       llm.suggestType(c, "string", values).flatMap { sug =>
         sug.rewriteKind match {
           case "boolean" =>

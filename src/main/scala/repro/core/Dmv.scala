@@ -12,15 +12,12 @@ import repro.profile.TableProfile
   */
 object Dmv {
 
-  def step(
-      df: DataFrame,
-      profile: TableProfile,
-      llm: LLMClient,
-      exclude: Set[String] = Set.empty,
-      maxValues: Int = 2000,
-  ): Option[CleaningStep] = {
-    val rewrites = StringOutliers.stringColumns(df, exclude).flatMap { c =>
-      val values = profile.frequentValues(c, maxValues)
+  /** Most frequent values the LLM reviews per column. */
+  private val MaxValues = 2000
+
+  def step(df: DataFrame, profile: TableProfile, llm: LLMClient, exclude: Set[String] = Set.empty): Option[CleaningStep] = {
+    val rewrites = CleaningStep.stringColumns(df, exclude).flatMap { c =>
+      val values = profile.frequentValues(c, MaxValues)
       val dmv    = llm.identifyDmv(c, values).distinct.sorted
       if (dmv.isEmpty) None
       else

@@ -16,6 +16,10 @@ object Duplication {
     val dups = Profiler.duplicateRowCount(df, profile)
     if (dups == 0) None
     else if (llm.duplicationAcceptable(tableDesc, dups, profile.rowCount)) None
-    else Some(CleaningStep("duplication", Seq.empty, dropExactDuplicates = true))
+    else {
+      val why = s"$dups of ${profile.rowCount} rows are exact copies of another row, which '$tableDesc' should not " +
+        "contain; kept one copy of each."
+      Some(CleaningStep("duplication", Seq.empty, DistinctRows(why)))
+    }
   }
 }

@@ -16,15 +16,14 @@ import repro.profile.{Profiler, TableProfile}
   */
 object FunctionalDeps {
 
-  def step(
-      df: DataFrame,
-      profile: TableProfile,
-      llm: LLMClient,
-      exclude: Set[String] = Set.empty,
-      minStrength: Double = 0.3,
-      maxGroups: Int = 600,
-  ): Option[CleaningStep] = {
-    val cols = StringOutliers.stringColumns(df, exclude)
+  /** Least share of rows an FD must hold on to be repaired. */
+  private val MinStrength = 0.3
+
+  /** Violating groups resolved per FD, largest first. */
+  private val MaxGroups = 600
+
+  def step(df: DataFrame, profile: TableProfile, llm: LLMClient, exclude: Set[String] = Set.empty): Option[CleaningStep] = {
+    val cols = CleaningStep.stringColumns(df, exclude)
     if (cols.size < 2) return None
     val rows = profile.rowCount
     if (rows == 0) return None
@@ -41,8 +40,8 @@ object FunctionalDeps {
     } yield (lhs, rhs)
 
     val accepted = Profiler
-      .scoreFds(df, candidatePairs, maxGroups)
-      .filter(fd => fd.strength >= minStrength && fd.violatingGroups > 0)
+      .scoreFds(df, candidatePairs, MaxGroups)
+      .filter(fd => fd.strength >= MinStrength && fd.violatingGroups > 0)
 
     val casesByRhs: Map[String, Seq[FdCase]] = accepted
       .flatMap { fd =>

@@ -15,15 +15,12 @@ import repro.profile.TableProfile
   */
 object PatternOutliers {
 
-  def step(
-      df: DataFrame,
-      profile: TableProfile,
-      llm: LLMClient,
-      exclude: Set[String] = Set.empty,
-      maxValues: Int = 3000,
-  ): Option[CleaningStep] = {
-    val rewrites = StringOutliers.stringColumns(df, exclude).flatMap { c =>
-      val values = profile.frequentValues(c, maxValues)
+  /** Most frequent values the LLM reviews per column. */
+  private val MaxValues = 3000
+
+  def step(df: DataFrame, profile: TableProfile, llm: LLMClient, exclude: Set[String] = Set.empty): Option[CleaningStep] = {
+    val rewrites = CleaningStep.stringColumns(df, exclude).flatMap { c =>
+      val values = profile.frequentValues(c, MaxValues)
       llm.reviewPatterns(c, values).flatMap { review =>
         val family = Knowledge.formatFamilies.find(_.name == review.familyName).get
         val dominant = review.formatShares.toSeq.sortBy { case (f, n) => (-n, f) }.head._1

@@ -22,17 +22,17 @@ import repro.util.SqlGen
   *     its target, exact when no row can match two arms.
   *
   * The carry is undefined (`None`), and the table must be profiled again,
-  * when the step drops duplicate rows, rewrites a non-string column or a
+  * when the step has a row action, rewrites a non-string column or a
   * column whose profile is truncated, or is an FD repair with overlapping
   * arms.
   */
 object ProfileCarry {
 
   def after(spark: SparkSession, df: DataFrame, profile: TableProfile, step: CleaningStep): Option[TableProfile] = {
-    val strings = df.schema.fields.collect { case f if f.dataType == StringType => f.name }.toSet
+    val strings = CleaningStep.stringColumns(df, Set.empty).toSet
     def complete(c: String) =
       strings(c) && profile.columns.get(c).exists(p => p.distinctCount == p.frequentValues.size)
-    if (step.dropExactDuplicates || !step.rewrites.forall(r => complete(r.column))) return None
+    if (step.rows != KeepAllRows || !step.rewrites.forall(r => complete(r.column))) return None
 
     val carried = step.rewrites.map { r =>
       val before = valueCounts(profile(r.column))

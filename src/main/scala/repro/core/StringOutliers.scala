@@ -1,38 +1,32 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.types.StringType
 import repro.llm.LLMClient
 import repro.profile.TableProfile
 
 /** §2.1.1 String Outliers.
   *
-  * Statistical detection samples each string column's frequent values (default
-  * 1000); semantic detection asks the LLM (Figure 2 prompt) to review one
+  * Statistical detection samples each string column's 1000 most frequent
+  * values; semantic detection asks the LLM (Figure 2 prompt) to review one
   * batch at a time for typos and inconsistent representations; semantic
   * cleaning asks for an erroneous→correct mapping (Figure 3 prompt) and emits
   * a CASE WHEN rewrite.
   */
 object StringOutliers {
 
-  /** String-typed columns eligible for cleaning. */
-  def stringColumns(df: DataFrame, exclude: Set[String]): Seq[String] =
-    df.schema.fields.filter(f => f.dataType == StringType && !exclude(f.name)).map(_.name).toSeq
+  /** Most frequent values the LLM reviews per column. */
+  private val MaxValues = 1000
 
-  def step(
-      df: DataFrame,
-      profile: TableProfile,
-      llm: LLMClient,
-      exclude: Set[String] = Set.empty,
-      maxValues: Int = 1000,
-      batchSize: Int = 1000,
-  ): Option[CleaningStep] = {
-    val rewrites = stringColumns(df, exclude).flatMap { c =>
-      val values = profile.frequentValues(c, maxValues)
+  /** Values per LLM call: §2.1.1's batch. */
+  private val BatchSize = 1000
+
+  def step(df: DataFrame, profile: TableProfile, llm: LLMClient, exclude: Set[String] = Set.empty): Option[CleaningStep] = {
+    val rewrites = CleaningStep.stringColumns(df, exclude).flatMap { c =>
+      val values = profile.frequentValues(c, MaxValues)
       // One LLM call per batch of distinct values, as the paper does to stay
       // inside the context window on wide domains.
       val unusual = values
-        .grouped(math.max(1, batchSize))
+        .grouped(BatchSize)
         .flatMap { batch =>
           val review = llm.reviewStringOutliers(c, batch)
           if (review.unusual) review.unusualValues else Seq.empty

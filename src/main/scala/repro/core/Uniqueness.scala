@@ -1,9 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import repro.llm.LLMClient
 import repro.profile.TableProfile
-import repro.util.SqlGen
 
 /** §2.1.8 Column Uniqueness.
   *
@@ -15,9 +14,6 @@ import repro.util.SqlGen
   */
 object Uniqueness {
 
-  /** The dedupe plan for one near-unique key column. */
-  final case class Plan(keyCol: String, orderCol: String, sql: String)
-
   /** Columns an LLM would pick to prioritise records by, in preference order. */
   def pickOrderColumn(columns: Seq[String], keyCol: String): String = {
     val others = columns.filterNot(_ == keyCol)
@@ -27,27 +23,17 @@ object Uniqueness {
   }
 
   /** `rowKey`, the table's row identifier, is never a candidate and breaks
-    * ties in the order column, so the surviving row does not depend on how
-    * the input is partitioned.
+    * ties in the order column.
     */
-  def plan(df: DataFrame, profile: TableProfile, llm: LLMClient, rowKey: Option[String] = None): Option[Plan] = {
-    val cols = df.columns.toSeq.filterNot(rowKey.contains)
-    cols
+  def step(df: DataFrame, profile: TableProfile, llm: LLMClient, rowKey: Option[String] = None): Option[CleaningStep] =
+    df.columns.toSeq
+      .filterNot(rowKey.contains)
       .map(c => (c, profile(c).uniqueRatio))
       .find { case (c, ratio) => ratio < 1.0 && llm.shouldBeUnique(c, ratio) }
-      .map { case (key, _) =>
+      .map { case (key, ratio) =>
         val ord = pickOrderColumn(df.columns.toSeq, key)
-        val q   = SqlGen.ident _
-        val by  = (s"${q(ord)} DESC" +: rowKey.filterNot(_ == ord).map(q).toSeq).mkString(", ")
-        val sql =
-          s"""SELECT ${df.columns.map(q).mkString(", ")} FROM (
-             |  SELECT *, ROW_NUMBER() OVER (PARTITION BY ${q(key)} ORDER BY $by) AS __rn FROM __input__
-             |) WHERE __rn = 1""".stripMargin
-        Plan(key, ord, sql)
+        val why = s"'$key' identifies a record, but only ${math.round(ratio * 100)}% of its values are unique; " +
+          s"kept one row per '$key', the latest by '$ord'."
+        CleaningStep("uniqueness", Seq.empty, KeepFirstPerKey(key, ord, rowKey, why))
       }
-  }
-
-  /** Apply the dedupe plan by executing its window-function SQL. */
-  def apply(spark: SparkSession, df: DataFrame, p: Plan): DataFrame =
-    CleaningStep.sqlOver(spark, df)(view => p.sql.replace("__input__", view))
 }

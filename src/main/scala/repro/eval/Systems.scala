@@ -55,35 +55,6 @@ object LocalTable {
     new LocalTable(cols, ids, cells)
   }
 
-  /** Statistical single-attribute FD discovery on the snapshot: returns
-    * (lhs, rhs, strength) for non-key lhs columns, mirroring
-    * [[repro.profile.Profiler.scoreFds]] semantics.
-    */
-  def fdCandidates(t: LocalTable, minStrength: Double): Seq[(String, String, Double)] = {
-    val distincts = t.columns.map(c => c -> t.freq(c).size).toMap
-    for {
-      lhs <- t.columns
-      rhs <- t.columns
-      if lhs != rhs
-      if distincts(lhs) > 1 && distincts(lhs) < t.n * 0.9
-      s = fdStrength(t, lhs, rhs)
-      if s >= minStrength && s < 1.0
-    } yield (lhs, rhs, s)
-  }
-
-  /** Plurality-agreement strength, matching [[repro.profile.FdScore]]:
-    * share of rows whose rhs equals their group's most frequent rhs.
-    */
-  def fdStrength(t: LocalTable, lhs: String, rhs: String): Double = {
-    val groups = groupRhs(t, lhs, rhs)
-    var total = 0L; var agree = 0L
-    groups.values.foreach { m =>
-      total += m.values.sum
-      agree += m.values.max
-    }
-    if (total == 0) 0.0 else agree.toDouble / total
-  }
-
   /** lhsValue → (rhsValue → count), over rows where both are non-null. */
   def groupRhs(t: LocalTable, lhs: String, rhs: String): Map[String, Map[String, Int]] = {
     val m = scala.collection.mutable.Map.empty[String, scala.collection.mutable.Map[String, Int]]

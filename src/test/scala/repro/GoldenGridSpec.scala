@@ -1,13 +1,19 @@
 package repro
 
+import java.security.MessageDigest
+
+import org.apache.spark.sql.DataFrame
 import repro.baselines.{HoloCleanLite, RahaBaranLite}
+import repro.core.{CocoonConfig, CocoonPipeline}
 import repro.datasets.BenchDataset
-import repro.eval.{CleaningSystem, CocoonSystem, Harness, Metrics}
+import repro.eval.{Harness, Metrics}
+import repro.llm.SimulatedLLM
 
 /** Cocoon's behaviour contract: the exact cell counts it produces on each of
-  * the five benchmarks at their default seeds. Everything is seeded and
-  * deterministic, so these are integers, not tolerances; a refactor that
-  * moves one of them changes what Cocoon does.
+  * the five benchmarks at their default seeds, and the SHA-256 of the SQL
+  * script it emits (§2.2). Everything is seeded and deterministic, so these
+  * are integers and hashes, not tolerances; a refactor that moves one of them
+  * changes what Cocoon does.
   *
   * The same runs bound the Spark jobs one pipeline run starts. Job count does
   * not depend on the hardware: a run profiles its input once, carries the
@@ -31,24 +37,43 @@ class GoldenGridSpec extends JobCounting {
     "movies"   -> ((1206L, 1105L, 1122L), (16117L, 16016L, 16033L)),
   )
 
-  /** `system`'s cells on `ds` under the Table-1 and the Table-3 rules. */
-  private def cellCounts(system: CleaningSystem, ds: BenchDataset) = {
-    val (cleaned, runJobs) = countingJobs(system.clean(spark, ds))
+  /** SHA-256 of `CocoonResult.script` per benchmark. */
+  private val pinnedScripts = Map(
+    "hospital" -> "0f89aa631f5002511118849003cb3bf7c8813d77f3a738f0667f2d1daca4a253",
+    "flights"  -> "11dc8c073ac4a34a7996f0d9c277899be2603a92ed354e97d95f2c206bd57a5a",
+    "beers"    -> "ea496550da3b10600734d2af6839742e19b30bbff6d2e91dc1e7debd05bec4ea",
+    "rayyan"   -> "aaba6c632ac433279cbd8f74139da02ed029e43af4b2c521f64d25d810e25dff",
+    "movies"   -> "f41cacd40044e5bc41088a1a4be221f941fb10cbfa33a959a54abe501928ecc8",
+  )
+
+  private def sha256(s: String): String =
+    MessageDigest.getInstance("SHA-256").digest(s.getBytes("UTF-8")).map(b => f"${b & 0xff}%02x").mkString
+
+  /** The cells of `clean`'s output on `ds` under the Table-1 and the Table-3
+    * rules, with the value `clean` returns beside its output and its job count.
+    */
+  private def cellCounts[A](name: String, ds: BenchDataset)(clean: => (DataFrame, A)) = {
+    val ((cleaned, extra), runJobs) = countingJobs(clean)
     val out = cleaned.cache()
     try {
       def counts(excluded: Set[String]) = {
-        val s = Metrics.score(ds, system.name, out, excluded)
+        val s = Metrics.score(ds, name, out, excluded)
         (s.changedCells, s.correctChanges, s.errorCells)
       }
-      (counts(Metrics.table1Excluded), counts(Set.empty), runJobs)
+      (counts(Metrics.table1Excluded), counts(Set.empty), extra, runJobs)
     } finally out.unpersist()
   }
 
   for ((name, (table1, table3)) <- pinned)
     test(s"Cocoon's cell counts on $name are pinned under the Table-1 and Table-3 rules") {
-      val (t1, t3, runJobs) = cellCounts(new CocoonSystem(), Harness.dataset(spark, name))
+      val ds = Harness.dataset(spark, name)
+      val (t1, t3, script, runJobs) = cellCounts("Cocoon", ds) {
+        val res = CocoonPipeline.run(spark, ds.dirty, new SimulatedLLM(), CocoonConfig(keyCol = ds.keyCol, tableDesc = ds.name))
+        (res.cleaned, res.script)
+      }
       assert(t1 == table1)
       assert(t3 == table3)
+      assert(sha256(script) == pinnedScripts(name), s"$name: the emitted script changed")
       assert(runJobs <= MaxJobsPerRun, s"$name: $runJobs Spark jobs in one run")
     }
 
@@ -62,7 +87,8 @@ class GoldenGridSpec extends JobCounting {
 
   for ((system, cells) <- pinnedBaselines)
     test(s"${system.name}'s cell counts on flights are pinned") {
-      val (t1, t3, _) = cellCounts(system, Harness.dataset(spark, "flights"))
+      val ds = Harness.dataset(spark, "flights")
+      val (t1, t3, _, _) = cellCounts(system.name, ds)((system.clean(spark, ds), ()))
       assert(t1 == cells)
       assert(t3 == cells)
     }

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import repro.{Oracle, SparkSpec}
 import repro.util.SqlGen
 
@@ -7,8 +8,15 @@ class CleaningStepSpec extends SparkSpec {
   import spark.implicits._
 
   private lazy val df = Seq(
-    (1L, "eng", "N/A"), (2L, "English", "12"), (3L, "fre", "15"), (4L, "French", "99"),
-  ).toDF("row_id", "lang", "score")
+    (1L, "eng", "N/A", "34"), (2L, "English", "12", "210"), (3L, "fre", "15", "-3"), (4L, "French", "99", "57"),
+  ).toDF("row_id", "lang", "score", "age")
+
+  /** `step`'s SQL on Spark and on DuckDB agree over `in`. */
+  private def assertPortable(in: DataFrame, step: CleaningStep) = {
+    val sparkOut = CleaningStep.apply(spark, in, step)
+    Oracle.assertEquivalent(sparkOut, CleaningStep.renderSelect(step, in.columns.toSeq, "input", SqlGen.identAnsi), "input" -> in)
+    sparkOut
+  }
 
   test("renderExpr MapValues produces a CASE WHEN") {
     val sql = CleaningStep.renderExpr("lang", MapValues(Seq("English" -> "eng")), SqlGen.ident)
@@ -57,34 +65,54 @@ class CleaningStepSpec extends SparkSpec {
     assert(out eq df)
   }
 
-  test("dropExactDuplicates dedupes rows") {
+  test("DistinctRows dedupes rows") {
     val dup = Seq(("a", "1"), ("a", "1"), ("b", "2")).toDF("x", "y")
-    val out = CleaningStep.apply(spark, dup, CleaningStep("dup", Seq.empty, dropExactDuplicates = true))
+    val out = CleaningStep.apply(spark, dup, CleaningStep("dup", Seq.empty, DistinctRows("r")))
     assert(out.count() == 2)
   }
 
+  test("renderSelect comments a row action's reasoning") {
+    val step = CleaningStep("uniqueness", Seq.empty, KeepFirstPerKey("k", "t", Some("row_id"), "why"))
+    val sql = CleaningStep.renderSelect(step, Seq("row_id", "k", "t"), "t0", SqlGen.ident)
+    assert(sql.startsWith("-- why\n") && sql.contains("ORDER BY `t` DESC NULLS LAST, `row_id`"))
+  }
+
   test("generated SQL is portable: Spark and DuckDB agree on a MapValues step") {
-    val step = CleaningStep("s", Seq(ColumnRewrite("lang", MapValues(Seq("English" -> "eng", "French" -> "fre")), "r")))
-    val sparkOut = CleaningStep.apply(spark, df, step)
-    val duckSql = CleaningStep.renderSelect(step, Seq("row_id", "lang", "score"), "input", SqlGen.identAnsi)
-    Oracle.assertEquivalent(sparkOut, duckSql, "input" -> df)
+    assertPortable(df, CleaningStep("s", Seq(ColumnRewrite("lang", MapValues(Seq("English" -> "eng", "French" -> "fre")), "r"))))
   }
 
   test("generated SQL is portable: FdRepair step") {
     val fdf = Seq((1L, "z1", "Boston"), (2L, "z1", "Dothan"), (3L, "z2", "Reno")).toDF("row_id", "zip", "city")
     val step = CleaningStep("fd", Seq(ColumnRewrite("city", FdRepair(Seq(FdCase("zip", "z1", "Boston", "Dothan", 1L))), "r")))
-    val sparkOut = CleaningStep.apply(spark, fdf, step)
-    val duckSql = CleaningStep.renderSelect(step, Seq("row_id", "zip", "city"), "input", SqlGen.identAnsi)
-    Oracle.assertEquivalent(sparkOut, duckSql, "input" -> fdf)
-    assert(sparkOut.filter("city = 'Boston'").count() == 0)
+    assert(assertPortable(fdf, step).filter("city = 'Boston'").count() == 0)
   }
 
   test("generated SQL is portable: MapToNull and RangeClamp steps") {
     val step = CleaningStep("x", Seq(
       ColumnRewrite("score", MapToNull(Seq("N/A")), "dmv"),
+      ColumnRewrite("age", RangeClamp(Some(0), Some(120)), "range"),
     ))
-    val sparkOut = CleaningStep.apply(spark, df, step)
-    val duckSql = CleaningStep.renderSelect(step, Seq("row_id", "lang", "score"), "input", SqlGen.identAnsi)
-    Oracle.assertEquivalent(sparkOut, duckSql, "input" -> df)
+    val out = assertPortable(df, step)
+    assert(out.filter("score IS NULL").count() == 1)
+    assert(out.filter("age IS NULL").select("row_id").as[Long].collect().sorted.toSeq == Seq(2L, 3L))
+  }
+
+  test("generated SQL is portable: DISTINCT step") {
+    val dup = Seq(("a", "1"), ("a", "1"), ("b", "2"), ("b", null), ("b", null)).toDF("x", "y")
+    val out = assertPortable(dup, CleaningStep("dup", Seq(ColumnRewrite("x", MapValues(Seq("b" -> "a")), "r")), DistinctRows("r")))
+    assert(out.count() == 3)
+  }
+
+  test("generated SQL is portable: keep-first-per-key step, ties broken by the row key") {
+    // The oracle loads every column as text, so the row keys are single
+    // digits, whose text and numeric orders agree. Key k1's two latest rows
+    // tie on `t`; only the row key picks row 2. A NULL `t` sorts last.
+    val keyed = Seq(
+      (3L, "k1", "2020-02", "tied-high"), (2L, "k1", "2020-02", "tied-low"), (1L, "k1", "2020-01", "older"),
+      (4L, "k2", null, "undated"), (5L, "k2", "2019-12", "dated"), (6L, "k3", "2020-03", "alone"),
+    ).toDF("row_id", "k", "t", "payload")
+    val step = CleaningStep("uniqueness", Seq.empty, KeepFirstPerKey("k", "t", Some("row_id"), "r"))
+    val out = assertPortable(keyed, step)
+    assert(out.select("payload").as[String].collect().sorted.toSeq == Seq("alone", "dated", "tied-low"))
   }
 }

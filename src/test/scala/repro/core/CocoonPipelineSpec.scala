@@ -1,9 +1,9 @@
 package repro.core
 
-import repro.SparkSpec
+import repro.JobCounting
 import repro.llm.SimulatedLLM
 
-class CocoonPipelineSpec extends SparkSpec {
+class CocoonPipelineSpec extends JobCounting {
   import spark.implicits._
 
   private val llm = new SimulatedLLM()
@@ -22,7 +22,7 @@ class CocoonPipelineSpec extends SparkSpec {
     val issues = res.steps.map(_.issue)
     assert(issues == issues.sortBy(Seq(
       "string-outliers", "pattern-outliers", "disguised-missing-values", "column-type",
-      "numeric-outliers", "functional-dependencies", "duplication").indexOf))
+      "numeric-outliers", "functional-dependencies", "duplication", "uniqueness").indexOf))
   }
 
   test("duration column flows pattern standardisation → minutes cast") {
@@ -107,8 +107,16 @@ class CocoonPipelineSpec extends SparkSpec {
     val rows = (0 until 19).map(i => (i.toLong, s"k$i", s"2020-01-${10 + i}")) :+
       ((19L, "k0", "2021-06-01"))
     val df = rows.toDF("row_id", "customer_id", "updated_at")
-    val res = CocoonPipeline.run(spark, df, llm, CocoonConfig(keyCol = "row_id", tableDesc = "customers"))
-    assert(res.cleaned.count() == 19)
+    val (res, runJobs)   = countingJobs(CocoonPipeline.run(spark, df, llm, CocoonConfig(keyCol = "row_id", tableDesc = "customers")))
+    val (kept, readJobs) = countingJobs(res.cleaned.count())
+    assert(kept == 19)
     assert(res.cleaned.filter("customer_id = 'k0'").select("updated_at").collect().head.getString(0) == "2021-06-01")
+    assert(res.steps.last.issue == "uniqueness")
+    val cte = res.script.linesIterator.dropWhile(!_.contains("_uniqueness AS (")).toSeq
+    assert(cte.lift(1).exists(_.startsWith("-- ")), res.script)
+    // The profile and the duplicate count take 3 jobs each; the dedupe's
+    // window shuffle and its checkpoint 2 more; no profile is built after the
+    // last stage. Reading the checkpointed result takes 2.
+    assert(runJobs <= 8 && runJobs + readJobs <= 10, s"$runJobs + $readJobs Spark jobs")
   }
 }

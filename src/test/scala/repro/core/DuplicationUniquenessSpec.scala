@@ -9,10 +9,15 @@ class DuplicationUniquenessSpec extends SparkSpec {
 
   private val llm = new SimulatedLLM()
 
+  private def keyAndOrder(step: CleaningStep) = step.rows match {
+    case KeepFirstPerKey(key, ord, _, _) => (key, ord)
+    case other                           => fail(s"not a per-key dedupe: $other")
+  }
+
   test("duplication: erroneous duplicates are dropped via SELECT DISTINCT") {
     val df = (Seq.fill(3)(("a", "1")) ++ Seq(("b", "2"))).toDF("x", "y")
     val step = Duplication.step(df, TableProfile.of(df), llm, "customers").get
-    assert(step.dropExactDuplicates)
+    assert(step.rows.isInstanceOf[DistinctRows])
     assert(CleaningStep.apply(spark, df, step).count() == 2)
   }
 
@@ -31,9 +36,9 @@ class DuplicationUniquenessSpec extends SparkSpec {
     val rows = (0 until 19).map(i => (s"k$i", s"2020-01-${10 + i}", "old")) :+
       (("k0", "2021-06-01", "new"))
     val df = rows.toDF("customer_id", "updated_at", "payload")
-    val plan = Uniqueness.plan(df, TableProfile.of(df), llm).get
-    assert(plan.keyCol == "customer_id" && plan.orderCol == "updated_at")
-    val out = Uniqueness.apply(spark, df, plan)
+    val step = Uniqueness.step(df, TableProfile.of(df), llm).get
+    assert(keyAndOrder(step) == ("customer_id", "updated_at"))
+    val out = CleaningStep.apply(spark, df, step)
     assert(out.count() == 19)
     assert(out.filter("customer_id = 'k0'").select("payload").collect().head.getString(0) == "new")
     assert(out.columns.toSeq == df.columns.toSeq)
@@ -44,10 +49,10 @@ class DuplicationUniquenessSpec extends SparkSpec {
     val rows = (0 until 19).map(i => (i.toLong + 10, s"k$i", s"2020-01-${10 + i}", "old")) :+
       ((3L, "k0", "2020-01-10", "tied"))
     val df = rows.toDF("row_id", "customer_id", "updated_at", "payload")
-    val plan = Uniqueness.plan(df, TableProfile.of(df, Set("row_id")), llm, Some("row_id")).get
-    assert(plan.keyCol == "customer_id" && plan.orderCol == "updated_at")
+    val step = Uniqueness.step(df, TableProfile.of(df, Set("row_id")), llm, Some("row_id")).get
+    assert(keyAndOrder(step) == ("customer_id", "updated_at"))
     def survivor(in: org.apache.spark.sql.DataFrame) =
-      Uniqueness.apply(spark, in, plan).filter("customer_id = 'k0'").select("row_id", "payload").collect().toSeq
+      CleaningStep.apply(spark, in, step).filter("customer_id = 'k0'").select("row_id", "payload").collect().toSeq
     val one  = survivor(df.repartition(1))
     val many = survivor(df.repartition(7, $"row_id").sortWithinPartitions($"row_id".desc))
     assert(one.map(r => (r.getLong(0), r.getString(1))) == Seq((3L, "tied")))
@@ -56,12 +61,12 @@ class DuplicationUniquenessSpec extends SparkSpec {
 
   test("uniqueness: fully unique key needs no plan") {
     val df = Seq(("k1", "a"), ("k2", "b")).toDF("customer_id", "v")
-    assert(Uniqueness.plan(df, TableProfile.of(df), llm).isEmpty)
+    assert(Uniqueness.step(df, TableProfile.of(df), llm).isEmpty)
   }
 
   test("uniqueness: non-key columns are not deduped") {
     val df = Seq(("Boston", "a"), ("Boston", "b"), ("Denver", "c")).toDF("city", "v")
-    assert(Uniqueness.plan(df, TableProfile.of(df), llm).isEmpty)
+    assert(Uniqueness.step(df, TableProfile.of(df), llm).isEmpty)
   }
 
   test("uniqueness: order column prefers time-like names") {
@@ -71,6 +76,6 @@ class DuplicationUniquenessSpec extends SparkSpec {
 
   test("uniqueness: key column below the ratio bar is left alone") {
     val df = (Seq.fill(10)(("k1", "x")) ++ Seq.fill(10)(("k2", "y"))).toDF("customer_id", "v")
-    assert(Uniqueness.plan(df, TableProfile.of(df), llm).isEmpty)
+    assert(Uniqueness.step(df, TableProfile.of(df), llm).isEmpty)
   }
 }

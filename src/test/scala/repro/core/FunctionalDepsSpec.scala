@@ -71,12 +71,13 @@ class FunctionalDepsSpec extends SparkSpec {
   }
 
   test("violating-group cap bounds the rewrite size") {
-    val rows = (0 until 300).flatMap { g =>
+    // 700 violating groups; at most 600 are resolved.
+    val rows = (0 until 700).flatMap { g =>
       Seq.fill(4)((s"${10000 + g}", s"city$g")) :+ (s"${10000 + g}", "WRONG")
     }
     val df = rows.toDF("provider_id", "city")
-    val step = FunctionalDeps.step(df, TableProfile.of(df), llm, maxGroups = 50).get
+    val step = FunctionalDeps.step(df, TableProfile.of(df), llm).get
     val fd = step.rewrites.head.rewrite.asInstanceOf[FdRepair]
-    assert(fd.cases.size == 50)
+    assert(fd.cases.size == 600)
   }
 }

@@ -44,8 +44,11 @@ class StringOutliersSpec extends SparkSpec {
   }
 
   test("batching still covers all distinct values") {
-    val df = ((1 to 30).map(i => s"value_number_$i") ++ Seq.fill(20)("Birmingham") ++ Seq("Birmxngham")).toDF("c")
-    val step = StringOutliers.step(df, TableProfile.of(df), llm, batchSize = 7).get
+    // 1000 distinct values, the most one column sends: the typo ranks last.
+    val fillers = (1 to 998).flatMap(i => Seq.fill(2)(s"value_number_$i"))
+    val df = (fillers ++ Seq.fill(20)("Birmingham") ++ Seq("Birmxngham")).toDF("c")
+    assert(TableProfile.of(df)("c").frequentValues.indexWhere(_.value == "Birmxngham") == 999)
+    val step = StringOutliers.step(df, TableProfile.of(df), llm).get
     val out = CleaningStep.apply(spark, df, step)
     assert(out.filter("c = 'Birmxngham'").count() == 0)
   }

@@ -115,7 +115,8 @@ class ProfileCarrySpec extends JobCounting {
     def carry(rws: (String, Rewrite)*) =
       ProfileCarry.after(spark, df, p, CleaningStep("s", rws.map { case (c, rw) => ColumnRewrite(c, rw, "r") }))
 
-    assert(ProfileCarry.after(spark, df, p, CleaningStep("dup", Seq.empty, dropExactDuplicates = true)).isEmpty)
+    assert(ProfileCarry.after(spark, df, p, CleaningStep("dup", Seq.empty, DistinctRows("r"))).isEmpty)
+    assert(ProfileCarry.after(spark, df, p, CleaningStep("u", Seq.empty, KeepFirstPerKey("zip", "phone", None, "r"))).isEmpty)
     assert(carry("row_id" -> RangeClamp(Some(2.0), None)).isEmpty, "non-string, unprofiled column")
     assert(ProfileCarry.after(spark, df, TableProfile.of(df, Set("row_id"), maxValues = 1), CleaningStep("s",
       Seq(ColumnRewrite("city", MapToNull(Seq("Reno")), "r")))).isEmpty, "truncated profile")
