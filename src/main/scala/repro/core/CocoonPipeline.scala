@@ -25,8 +25,9 @@ final case class CocoonResult(cleaned: DataFrame, steps: Seq[CleaningStep], scri
   *
   * Each stage's detection runs against the *output* of the previous stage, so
   * e.g. FD grouping sees typo-fixed values — the reason the order matters.
-  * Stages share one [[TableProfile]] per table state. A run profiles its
-  * input once; after each step the next profile is carried on the driver
+  * Stages share one [[TableProfile]] per table state, covering every column,
+  * the key too (a key that is still distinct proves the table has no
+  * duplicate rows). A run profiles its input once; after each step the next profile is carried on the driver
   * ([[ProfileCarry]]), and the table is profiled again only where the carry
   * cannot be exact and a later stage reads the profile.
   */
@@ -57,7 +58,7 @@ object CocoonPipeline {
     var rel     = "input"
 
     for ((name, stage) <- stages) {
-      val p = profile.getOrElse(TableProfile.of(df, exclude))
+      val p = profile.getOrElse(TableProfile.of(df))
       profile = Some(p)
       stage(df, p).filterNot(_.isNoop).foreach { step =>
         val cte = s"cleaned_${steps.size + 1}_$name"

@@ -108,11 +108,14 @@ final class SimulatedLLM(val fdMajorityThreshold: Double = 0.65) extends LLMClie
   private def frequentTypoTarget(v: ValueCount, context: Seq[ValueCount]): Option[String] = {
     if (v.value.length < 3 || Knowledge.isKnownValidToken(v.value) || numericLike(v.value)) return None
     val maxD = math.max(1, v.value.length / 6)
+    val lower = v.value.toLowerCase
     val cands = context
       .filter(u => u.value != v.value && u.count >= v.count * TypoFreqRatio && u.count >= 3)
-      .filterNot(u => digitOnlyDiff(v.value.toLowerCase, u.value.toLowerCase))
+      // the edit distance is at least the length difference
+      .filter(u => math.abs(u.value.toLowerCase.length - lower.length) <= maxD)
+      .filterNot(u => digitOnlyDiff(lower, u.value.toLowerCase))
       .filterNot(u => numericLike(u.value) && numericLike(v.value))
-      .map(u => (u, Knowledge.damerau(v.value.toLowerCase, u.value.toLowerCase)))
+      .map(u => (u, Knowledge.damerau(lower, u.value.toLowerCase)))
       .filter { case (_, d) => d > 0 && d <= maxD }
       .sortBy { case (u, d) => (d, -u.count, u.value) }
     cands match {

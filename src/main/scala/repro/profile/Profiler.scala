@@ -2,6 +2,7 @@ package repro.profile
 
 import org.apache.spark.sql.{DataFrame, functions => F}
 import org.apache.spark.sql.expressions.Window
+import org.apache.spark.sql.types.{ByteType, DataType, IntegerType, LongType, ShortType, StringType}
 
 /** A value with its occurrence count, from a column's frequency profile. */
 final case class ValueCount(value: String, count: Long)
@@ -24,8 +25,8 @@ final case class ColumnProfile(
   def uniqueRatio: Double  = if (rowCount == 0) 0.0 else distinctCount.toDouble / rowCount
 }
 
-/** Profile of one table state: a [[ColumnProfile]] for every profiled column,
-  * each keeping its `maxValues` most frequent values (most frequent first,
+/** Profile of one table state: a [[ColumnProfile]] for every column, each
+  * keeping its `maxValues` most frequent values (most frequent first,
   * ties by value). A stage reads the prefix it needs.
   */
 final case class TableProfile(rowCount: Long, columns: Map[String, ColumnProfile], maxValues: Int) {
@@ -44,13 +45,14 @@ object TableProfile {
   /** Values kept per column by default: the longest prefix a stage reads. */
   val MaxValues = 3000
 
-  /** Profile every column not in `exclude` with one query over the melted
-    * table: group by (column, value), then rank each column's values and
-    * aggregate its counts in Spark, so only the top `maxValues` values per
-    * column reach the driver.
+  /** Profile every column with one query over the melted table: group by
+    * (column, value), then rank each column's values and aggregate its counts
+    * in Spark, so only the top `maxValues` values per column reach the driver.
+    * The melted rows are hash-partitioned by column once, and the group-by
+    * and the per-column windows all reuse that partitioning: one shuffle.
     */
-  def of(df: DataFrame, exclude: Set[String] = Set.empty, maxValues: Int = MaxValues): TableProfile = {
-    val cols = df.columns.toSeq.filterNot(exclude)
+  def of(df: DataFrame, maxValues: Int = MaxValues): TableProfile = {
+    val cols = df.columns.toSeq
     if (cols.isEmpty) return TableProfile(df.count(), Map.empty, maxValues)
 
     // Each value as text and as a number. try_cast: under Spark 4 ANSI
@@ -63,6 +65,7 @@ object TableProfile {
     val v = F.col("value"); val n = F.col("n"); val num = F.col("num")
     val byCol = Window.partitionBy("column")
     val rows = melted
+      .repartition(F.col("column"))
       .groupBy("column", "value")
       .agg(F.count(F.lit(1)).as("n"), F.max(num).as("num"))
       .select(
@@ -128,9 +131,26 @@ final case class FdScore(
   */
 object Profiler {
 
-  /** Number of fully duplicated rows beyond the first occurrence (§2.1.7). */
-  def duplicateRowCount(df: DataFrame, profile: TableProfile): Long =
-    profile.rowCount - df.distinct().count()
+  /** Number of fully duplicated rows beyond the first occurrence (§2.1.7).
+    * It is 0, with no Spark job, when the profile shows a column whose values
+    * are pairwise distinct (at most one null); otherwise one `DISTINCT` count.
+    */
+  def duplicateRowCount(df: DataFrame, profile: TableProfile): Long = {
+    val distinctColumn = df.schema.fields.exists { f =>
+      comparesAsText(f.dataType) && profile.columns.get(f.name).exists { p =>
+        p.distinctCount + (if (p.nullCount > 0) 1 else 0) == p.rowCount
+      }
+    }
+    if (distinctColumn) 0L else profile.rowCount - df.distinct().count()
+  }
+
+  /** Types whose profiled text is equal exactly when `DISTINCT` finds the
+    * values equal. Not floating point (`-0.0` and `0.0` print apart but
+    * compare equal), not collated strings, not nested types (their text is
+    * ambiguous).
+    */
+  private def comparesAsText(t: DataType): Boolean =
+    t == StringType || Seq(ByteType, ShortType, IntegerType, LongType).contains(t)
 
   /** Score every (lhs, rhs) pair with one query over the stacked
     * (pair, lhs value, rhs value) counts — the single-attribute partition
@@ -150,6 +170,7 @@ object Profiler {
     val pairWin = Window.partitionBy("pair")
     val rows = stacked
       .filter(l.isNotNull && r.isNotNull)
+      .repartition(F.col("pair")) // the one shuffle: every window below is within a pair
       .groupBy("pair", "l", "r")
       .agg(F.count(F.lit(1)).as("n"))
       .select(

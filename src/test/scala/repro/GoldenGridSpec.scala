@@ -13,17 +13,19 @@ import repro.llm.SimulatedLLM
   * the five benchmarks at their default seeds, and the SHA-256 of the SQL
   * script it emits (§2.2). Everything is seeded and deterministic, so these
   * are integers and hashes, not tolerances; a refactor that moves one of them
-  * changes what Cocoon does.
+  * changes what Cocoon does. Spark runs each emitted script over the input,
+  * and it must give the same rows as the pipeline's cleaned table.
   *
   * The same runs bound the Spark jobs one pipeline run starts. Job count does
   * not depend on the hardware: a run profiles its input once, carries the
-  * profile through value maps on the driver and scores FDs in one query, so
-  * it takes 12–17 jobs, where profiling each column in each stage took
-  * hundreds.
+  * profile through value maps on the driver, scores FDs in one query, gives
+  * each of these queries one shuffle and reads the absence of duplicate rows
+  * off the profile, so it takes 6–10 jobs, where profiling each column in
+  * each stage took hundreds.
   */
 class GoldenGridSpec extends JobCounting {
 
-  private val MaxJobsPerRun = 20
+  private val MaxJobsPerRun = 12
 
   /** (changedCells, correctChanges, errorCells) under the Table-1 rules
     * (column-type and DMV cells excluded), then under the Table-3 rules
@@ -67,14 +69,22 @@ class GoldenGridSpec extends JobCounting {
   for ((name, (table1, table3)) <- pinned)
     test(s"Cocoon's cell counts on $name are pinned under the Table-1 and Table-3 rules") {
       val ds = Harness.dataset(spark, name)
-      val (t1, t3, script, runJobs) = cellCounts("Cocoon", ds) {
+      val (t1, t3, res, runJobs) = cellCounts("Cocoon", ds) {
         val res = CocoonPipeline.run(spark, ds.dirty, new SimulatedLLM(), CocoonConfig(keyCol = ds.keyCol, tableDesc = ds.name))
-        (res.cleaned, res.script)
+        (res.cleaned, res)
       }
+      info(s"$runJobs Spark jobs")
       assert(t1 == table1)
       assert(t3 == table3)
-      assert(sha256(script) == pinnedScripts(name), s"$name: the emitted script changed")
+      assert(sha256(res.script) == pinnedScripts(name), s"$name: the emitted script changed")
       assert(runJobs <= MaxJobsPerRun, s"$name: $runJobs Spark jobs in one run")
+
+      ds.dirty.createOrReplaceTempView("input")
+      try {
+        val scripted = spark.sql(res.script)
+        assert(res.cleaned.exceptAll(scripted).isEmpty, s"$name: rows of cleaned missing from the script's output")
+        assert(scripted.exceptAll(res.cleaned).isEmpty, s"$name: rows of the script's output missing from cleaned")
+      } finally spark.catalog.dropTempView("input")
     }
 
   /** The baselines share the driver-side [[repro.eval.LocalTable]] code; Flights

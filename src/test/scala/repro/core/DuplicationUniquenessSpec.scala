@@ -49,7 +49,7 @@ class DuplicationUniquenessSpec extends SparkSpec {
     val rows = (0 until 19).map(i => (i.toLong + 10, s"k$i", s"2020-01-${10 + i}", "old")) :+
       ((3L, "k0", "2020-01-10", "tied"))
     val df = rows.toDF("row_id", "customer_id", "updated_at", "payload")
-    val step = Uniqueness.step(df, TableProfile.of(df, Set("row_id")), llm, Some("row_id")).get
+    val step = Uniqueness.step(df, TableProfile.of(df), llm, Some("row_id")).get
     assert(keyAndOrder(step) == ("customer_id", "updated_at"))
     def survivor(in: org.apache.spark.sql.DataFrame) =
       CleaningStep.apply(spark, in, step).filter("customer_id = 'k0'").select("row_id", "payload").collect().toSeq

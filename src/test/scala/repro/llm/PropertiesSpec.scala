@@ -43,6 +43,12 @@ class PropertiesSpec extends AnyFunSuite {
     }
   }
 
+  test("damerau is at least the length difference") {
+    forAllSeeded(wordPair) { case (a, b) =>
+      assert(Knowledge.damerau(a, b) >= math.abs(a.length - b.length))
+    }
+  }
+
   test("damerau of a single adjacent transposition is 1") {
     val gen = Gen.zip(word.suchThat(_.length >= 4), Gen.chooseNum(0, 100))
     forAllSeeded(gen, n = 100) { case (s, i0) =>

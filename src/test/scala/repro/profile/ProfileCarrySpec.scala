@@ -81,11 +81,11 @@ class ProfileCarrySpec extends JobCounting {
   }
 
   /** The carried profile, checked against a fresh one wherever it is defined. */
-  private def carryChecked(df: DataFrame, before: TableProfile, step: CleaningStep, exclude: Set[String]): Option[TableProfile] = {
+  private def carryChecked(df: DataFrame, before: TableProfile, step: CleaningStep): Option[TableProfile] = {
     val (carried, jobs) = countingJobs(ProfileCarry.after(spark, df, before, step))
     assert(jobs == 0, s"carrying ${step.issue} started $jobs Spark jobs")
     carried.foreach { c =>
-      val rebuilt = TableProfile.of(CleaningStep.apply(spark, df, step), exclude, before.maxValues)
+      val rebuilt = TableProfile.of(CleaningStep.apply(spark, df, step), before.maxValues)
       assert(canon(c) == canon(rebuilt), s"carried ≠ rebuilt after $step")
     }
     carried
@@ -96,11 +96,11 @@ class ProfileCarrySpec extends JobCounting {
     var carried = 0
     Seeded.forAll(gen, n = 80) { case (rows, s, cap) =>
       val df = spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), schema)
-      val before = TableProfile.of(df, Set("row_id"), cap)
+      val before = TableProfile.of(df, cap)
       val complete = s.rewrites.forall { r =>
         r.column != "qty" && before(r.column).distinctCount == before(r.column).frequentValues.size
       }
-      val result = carryChecked(df, before, s, Set("row_id"))
+      val result = carryChecked(df, before, s)
       assert(result.isDefined == complete, s"carry defined = ${result.isDefined} for $s at cap $cap")
       if (result.isDefined) carried += 1
     }
@@ -111,14 +111,14 @@ class ProfileCarrySpec extends JobCounting {
     import spark.implicits._
     val df = Seq((1L, "z1", "x1", "Boston"), (2L, "z1", "x1", "Dothan"), (3L, "z2", "x2", "Reno"))
       .toDF("row_id", "zip", "phone", "city")
-    val p = TableProfile.of(df, Set("row_id"))
+    val p = TableProfile.of(df)
     def carry(rws: (String, Rewrite)*) =
       ProfileCarry.after(spark, df, p, CleaningStep("s", rws.map { case (c, rw) => ColumnRewrite(c, rw, "r") }))
 
     assert(ProfileCarry.after(spark, df, p, CleaningStep("dup", Seq.empty, DistinctRows("r"))).isEmpty)
     assert(ProfileCarry.after(spark, df, p, CleaningStep("u", Seq.empty, KeepFirstPerKey("zip", "phone", None, "r"))).isEmpty)
-    assert(carry("row_id" -> RangeClamp(Some(2.0), None)).isEmpty, "non-string, unprofiled column")
-    assert(ProfileCarry.after(spark, df, TableProfile.of(df, Set("row_id"), maxValues = 1), CleaningStep("s",
+    assert(carry("row_id" -> RangeClamp(Some(2.0), None)).isEmpty, "non-string column")
+    assert(ProfileCarry.after(spark, df, TableProfile.of(df, maxValues = 1), CleaningStep("s",
       Seq(ColumnRewrite("city", MapToNull(Seq("Reno")), "r")))).isEmpty, "truncated profile")
     // Both arms match row 1: its zip is z1 and its phone is x1.
     assert(carry("city" -> FdRepair(Seq(FdCase("zip", "z1", "Boston", "Dothan", 1L), FdCase("phone", "x1", "Boston", "Reno", 1L)))).isEmpty)
@@ -129,12 +129,11 @@ class ProfileCarrySpec extends JobCounting {
   for (name <- Harness.table1Datasets)
     test(s"replaying Cocoon's steps on $name, every carried profile equals a fresh one") {
       val ds = Harness.dataset(spark, name)
-      val exclude = Set(ds.keyCol)
       val result = CocoonPipeline.run(spark, ds.dirty, new SimulatedLLM(), CocoonConfig(keyCol = ds.keyCol, tableDesc = ds.name))
       assert(result.steps.nonEmpty)
       var df = ds.dirty
       val carried = result.steps.map { s =>
-        val c = carryChecked(df, TableProfile.of(df, exclude), s, exclude)
+        val c = carryChecked(df, TableProfile.of(df), s)
         df = CleaningStep.apply(spark, df, s).localCheckpoint()
         s.issue -> c.isDefined
       }

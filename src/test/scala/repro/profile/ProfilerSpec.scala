@@ -1,9 +1,9 @@
 package repro.profile
 
 import org.apache.spark.sql.DataFrame
-import repro.SparkSpec
+import repro.JobCounting
 
-class ProfilerSpec extends SparkSpec {
+class ProfilerSpec extends JobCounting {
   import spark.implicits._
 
   private lazy val df = Seq(
@@ -55,8 +55,12 @@ class ProfilerSpec extends SparkSpec {
     intercept[IllegalArgumentException](TableProfile.of(df, maxValues = 2).frequentValues("v", 3))
   }
 
-  test("excluded columns are not profiled") {
-    assert(TableProfile.of(df, exclude = Set("w")).columns.keySet == Set("k", "v"))
+  test("every column is profiled") {
+    assert(profile.columns.keySet == Set("k", "v", "w"))
+  }
+
+  test("the profile query starts two jobs: one shuffle and the result") {
+    assert(countingJobs(TableProfile.of(df))._2 == 2)
   }
 
   test("an all-null column and an empty table profile to zero counts") {
@@ -67,13 +71,36 @@ class ProfilerSpec extends SparkSpec {
   }
 
   test("a table with no profiled columns still counts its rows") {
-    assert(TableProfile.of(df, exclude = Set("k", "v", "w")).rowCount == 7)
+    assert(TableProfile.of(df.select()).rowCount == 7)
   }
 
   test("duplicateRowCount counts beyond-first duplicates") {
     val d = Seq(("a", 1), ("a", 1), ("a", 1), ("b", 2)).toDF("x", "y")
     assert(Profiler.duplicateRowCount(d, TableProfile.of(d)) == 2)
     assert(Profiler.duplicateRowCount(d.distinct(), TableProfile.of(d.distinct())) == 0)
+  }
+
+  /** `duplicateRowCount` of `d` and the Spark jobs it starts, given the profile. */
+  private def duplicates(d: DataFrame): (Long, Long) = {
+    val p = TableProfile.of(d)
+    countingJobs(Profiler.duplicateRowCount(d, p))
+  }
+
+  test("duplicateRowCount starts no job when an integral or string column is all distinct") {
+    assert(duplicates(Seq((1L, "a"), (2L, "a"), (3L, "a")).toDF("id", "x")) == (0L, 0L))
+    assert(duplicates(Seq((1, "a"), (2, "a")).toDF("id", "x")) == (0L, 0L))
+    // One null is one more distinct row value.
+    assert(duplicates(Seq[(String, Int)](("a", 1), (null, 1), ("b", 1)).toDF("s", "n")) == (0L, 0L))
+  }
+
+  test("duplicateRowCount counts duplicates no column rules out") {
+    // 0.0 and -0.0 print apart but are equal under DISTINCT.
+    val zeros = Seq((0.0, "a"), (-0.0, "a"), (1.0, "b"), (2.0, "c")).toDF("d", "x")
+    assert(duplicates(zeros)._1 == 1)
+    val twoNulls = Seq[(String, String)]((null, "x"), (null, "x"), ("a", "y")).toDF("s", "x")
+    assert(duplicates(twoNulls)._1 == 1)
+    val noneDistinct = Seq(("a", 1), ("a", 1), ("b", 1), ("b", 2)).toDF("x", "y")
+    assert(duplicates(noneDistinct)._1 == 1)
   }
 
   test("scoreFd gives 1.0 on an exact FD") {
@@ -95,6 +122,11 @@ class ProfilerSpec extends SparkSpec {
     assert(fds.map(f => (f.lhs, f.rhs)) == Seq("l" -> "r", "l" -> "s", "s" -> "l"))
     assert(fds.map(_.violatingGroups) == Seq(1L, 0L, 0L))
     assert(math.abs(fds.head.strength - 2.0 / 3) < 1e-9 && fds(1).strength == 1.0)
+  }
+
+  test("scoreFds over several pairs starts two jobs: one shuffle and the result") {
+    val d = Seq(("a", "1", "x"), ("a", "2", "x"), ("b", "3", "y")).toDF("l", "r", "s")
+    assert(countingJobs(Profiler.scoreFds(d, Seq("l" -> "r", "l" -> "s", "s" -> "l", "r" -> "s"), 10))._2 == 2)
   }
 
   test("scoreFds on a pair with no non-null rows scores zero") {

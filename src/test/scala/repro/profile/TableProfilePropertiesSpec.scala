@@ -8,7 +8,8 @@ import repro.{Seeded, SparkSpec}
 /** The one-pass [[TableProfile]] and [[Profiler.scoreFds]] agree exactly with
   * the per-column and per-pair queries they replace ([[ReferenceProfiler]]),
   * on small random tables with nulls, numeric and non-numeric strings,
-  * quoted values, tied counts, an all-null column and a non-string column.
+  * quoted values, tied counts, an all-null column, non-string columns and a
+  * unique key.
   */
 class TableProfilePropertiesSpec extends SparkSpec {
 
@@ -19,7 +20,6 @@ class TableProfilePropertiesSpec extends SparkSpec {
     StructField("empty", StringType),
     StructField("qty", IntegerType),
   ))
-  private val dataColumns = schema.fieldNames.toSeq.tail
 
   // Small pools, so counts tie often.
   private val word  = Gen.oneOf[String](null, "a", "b", "it's", "O'Brien", "", "B", "ab")
@@ -34,10 +34,10 @@ class TableProfilePropertiesSpec extends SparkSpec {
   test("TableProfile equals the per-column profile queries") {
     Seeded.forAll(Gen.zip(table, Gen.oneOf(1, 2, 3, 1000)), n = 25) { case (rows, cap) =>
       val df = spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), schema)
-      val profile = TableProfile.of(df, Set("row_id"), cap)
-      assert(profile.columns.keySet == dataColumns.toSet)
+      val profile = TableProfile.of(df, cap)
+      assert(profile.columns.keySet == schema.fieldNames.toSet)
       assert(profile.rowCount == rows.size)
-      for (c <- dataColumns)
+      for (c <- schema.fieldNames)
         assert(profile(c) == ReferenceProfiler.profileColumn(df, c, cap), s"column $c of $rows")
     }
   }
