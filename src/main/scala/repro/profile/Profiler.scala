@@ -48,8 +48,8 @@ object TableProfile {
   /** Profile every column with one query over the melted table: group by
     * (column, value), then rank each column's values and aggregate its counts
     * in Spark, so only the top `maxValues` values per column reach the driver.
-    * The melted rows are hash-partitioned by column once, and the group-by
-    * and the per-column windows all reuse that partitioning: one shuffle.
+    * The group-by's shuffle, with its map-side combine, is the only one: its
+    * output is coalesced into one partition, which every window reads.
     */
   def of(df: DataFrame, maxValues: Int = MaxValues): TableProfile = {
     val cols = df.columns.toSeq
@@ -63,11 +63,13 @@ object TableProfile {
         .as(Seq("column", "value", "num"))
     )
     val v = F.col("value"); val n = F.col("n"); val num = F.col("num")
-    val byCol = Window.partitionBy("column")
+    // One sort: the column aggregates span the whole ranked partition.
+    val byRank = Window.partitionBy("column").orderBy(v.isNull, n.desc, v.asc)
+    val byCol  = byRank.rowsBetween(Window.unboundedPreceding, Window.unboundedFollowing)
     val rows = melted
-      .repartition(F.col("column"))
       .groupBy("column", "value")
       .agg(F.count(F.lit(1)).as("n"), F.max(num).as("num"))
+      .coalesce(1)
       .select(
         F.col("column"), v, n,
         F.sum(n).over(byCol).as("rows"),
@@ -78,7 +80,7 @@ object TableProfile {
         F.sum(F.when(v.isNotNull && num.isNotNull, n).otherwise(0L)).over(byCol).as("numOk"),
         // Non-null values first, so rank 1 always exists and carries the
         // column's aggregates even when the column is all null.
-        F.row_number().over(byCol.orderBy(v.isNull, n.desc, v.asc)).as("rank"),
+        F.row_number().over(byRank).as("rank"),
       )
       .filter(F.col("rank") <= math.max(maxValues, 1))
       .collect()
@@ -170,9 +172,9 @@ object Profiler {
     val pairWin = Window.partitionBy("pair")
     val rows = stacked
       .filter(l.isNotNull && r.isNotNull)
-      .repartition(F.col("pair")) // the one shuffle: every window below is within a pair
       .groupBy("pair", "l", "r")
       .agg(F.count(F.lit(1)).as("n"))
+      .coalesce(1) // the one shuffle is the group-by's; the windows read its output in one partition
       .select(
         F.col("pair"), l, r, n,
         F.sum(n).over(group).as("sz"),
