@@ -27,9 +27,10 @@ final case class CocoonResult(cleaned: DataFrame, steps: Seq[CleaningStep], scri
   * e.g. FD grouping sees typo-fixed values — the reason the order matters.
   * Stages share one [[TableProfile]] per table state, covering every column,
   * the key too (a key that is still distinct proves the table has no
-  * duplicate rows). A run profiles its input once; after each step the next profile is carried on the driver
-  * ([[ProfileCarry]]), and the table is profiled again only where the carry
-  * cannot be exact and a later stage reads the profile.
+  * duplicate rows). A run profiles its input once; after each step the next
+  * profile is carried on the driver ([[ProfileCarry]]), and the table is
+  * profiled again only where the carry cannot be exact and a later stage
+  * reads the profile.
   */
 object CocoonPipeline {
 
