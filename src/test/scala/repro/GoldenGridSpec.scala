@@ -1,7 +1,5 @@
 package repro
 
-import java.security.MessageDigest
-
 import org.apache.spark.sql.DataFrame
 import repro.baselines.{HoloCleanLite, RahaBaranLite}
 import repro.core.{CocoonConfig, CocoonPipeline}
@@ -48,9 +46,6 @@ class GoldenGridSpec extends JobCounting {
     "movies"   -> "f41cacd40044e5bc41088a1a4be221f941fb10cbfa33a959a54abe501928ecc8",
   )
 
-  private def sha256(s: String): String =
-    MessageDigest.getInstance("SHA-256").digest(s.getBytes("UTF-8")).map(b => f"${b & 0xff}%02x").mkString
-
   /** The cells of `clean`'s output on `ds` under the Table-1 and the Table-3
     * rules, with the value `clean` returns beside its output and its job count.
     */
@@ -76,7 +71,7 @@ class GoldenGridSpec extends JobCounting {
       info(s"$runJobs Spark jobs")
       assert(t1 == table1)
       assert(t3 == table3)
-      assert(sha256(res.script) == pinnedScripts(name), s"$name: the emitted script changed")
+      assert(Sha256(res.script) == pinnedScripts(name), s"$name: the emitted script changed")
       assert(runJobs <= MaxJobsPerRun, s"$name: $runJobs Spark jobs in one run")
 
       ds.dirty.createOrReplaceTempView("input")

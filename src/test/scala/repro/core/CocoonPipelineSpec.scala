@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.JobCounting
+import repro.{JobCounting, Sha256}
 import repro.llm.SimulatedLLM
 
 class CocoonPipelineSpec extends JobCounting {
@@ -69,6 +69,8 @@ class CocoonPipelineSpec extends JobCounting {
     val res = CocoonPipeline.run(spark, df, llm)
     // N/A → NULL (dmv stage), then 999 clamps under the age range.
     assert(res.cleaned.filter("age IS NULL").count() == 4)
+    assert(res.steps.map(_.issue).contains("numeric-outliers"))
+    assert(Sha256(res.script) == "72e3dc30c8dbaf48bee8eb4aef15db220c2eecbe8b16679c5230824fecaecf10", res.script)
   }
 
   test("pipeline output schema equals input schema") {
@@ -81,6 +83,7 @@ class CocoonPipelineSpec extends JobCounting {
     val res = CocoonPipeline.run(spark, df, llm, CocoonConfig(keyCol = "none", tableDesc = "customers"))
     assert(res.cleaned.count() == 2)
     assert(res.steps.exists(_.issue == "duplication"))
+    assert(Sha256(res.script) == "2195da5a205282f1120123e554438c6de0fd80c8731a066bc3b80c676ac40bd9", res.script)
   }
 
   test("no cocoon_ temp view remains after a run") {
@@ -114,6 +117,7 @@ class CocoonPipelineSpec extends JobCounting {
     assert(res.steps.last.issue == "uniqueness")
     val cte = res.script.linesIterator.dropWhile(!_.contains("_uniqueness AS (")).toSeq
     assert(cte.lift(1).exists(_.startsWith("-- ")), res.script)
+    assert(Sha256(res.script) == "4a42fbeccf23b0dd32625a910486116ab52759e8ba7759f15251567bd2367c1f", res.script)
     // The profile and the duplicate count take 3 jobs each; the dedupe's
     // window shuffle and its checkpoint 2 more; no profile is built after the
     // last stage. Reading the checkpointed result takes 2.
