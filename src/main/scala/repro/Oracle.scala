@@ -2,6 +2,8 @@ package repro
 
 import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.types.{DataType, DoubleType, IntegerType, LongType}
+import repro.util.SqlGen.identAnsi
 import scala.jdk.CollectionConverters._
 
 /** DuckDB correctness oracle.
@@ -16,6 +18,9 @@ import scala.jdk.CollectionConverters._
   * to scalar columns — array/map/struct are not comparable here.
   */
 object Oracle {
+
+  /** DuckDB's type for a Spark column type; every other type loads as text. */
+  private val duckType: Map[DataType, String] = Map(LongType -> "BIGINT", IntegerType -> "INTEGER", DoubleType -> "DOUBLE")
 
   private def canon(rows: Seq[Row], cols: Seq[String]): Seq[Seq[String]] = {
     val order = cols.sorted
@@ -38,16 +43,21 @@ object Oracle {
     val conn = DriverManager.getConnection("jdbc:duckdb:")
     try {
       for ((name, df) <- tables) {
-        val cols = df.columns
+        val fields = df.schema.fields
+        val typed  = fields.map(f => duckType.contains(f.dataType))
         conn.createStatement.execute(
-          s"CREATE TABLE $name (${cols.map(c => s"$c VARCHAR").mkString(", ")})"
+          s"CREATE TABLE ${identAnsi(name)} " +
+            fields.map(f => s"${identAnsi(f.name)} ${duckType.getOrElse(f.dataType, "VARCHAR")}").mkString("(", ", ", ")")
         )
         // Collect once; this is an oracle, not a bench — keep tables small.
         val ps = conn.prepareStatement(
-          s"INSERT INTO $name VALUES (${cols.map(_ => "?").mkString(",")})"
+          s"INSERT INTO ${identAnsi(name)} VALUES (${fields.map(_ => "?").mkString(",")})"
         )
         df.collect().foreach { r =>
-          cols.indices.foreach(i => ps.setString(i + 1, Option(r.get(i)).map(_.toString).orNull))
+          fields.indices.foreach { i =>
+            val v = r.get(i)
+            ps.setObject(i + 1, if (v == null || typed(i)) v else v.toString)
+          }
           ps.addBatch()
         }
         ps.executeBatch(); ps.close()

@@ -69,6 +69,12 @@ object CleaningStep {
   def stringColumns(df: DataFrame, exclude: Set[String]): Seq[String] =
     df.schema.fields.filter(f => f.dataType == StringType && !exclude(f.name)).map(_.name).toSeq
 
+  /** The step for `issue` that rewrites each of `columns` as `f` decides; a
+    * no-op when `f` rewrites none of them.
+    */
+  def perColumn(issue: String, columns: Seq[String])(f: String => Option[ColumnRewrite]): CleaningStep =
+    CleaningStep(issue, columns.flatMap(f))
+
   /** Render a rewrite as a SQL expression in the given identifier dialect
     * (backticks for Spark, double quotes for DuckDB — the oracle re-runs the
     * same logical SQL there).
@@ -122,6 +128,20 @@ object CleaningStep {
     val head = if (comments.nonEmpty) comments + "\n" else ""
     s"${head}SELECT $distinct$items\nFROM $from"
   }
+
+  /** The commented script for `steps` over the relation `input` with
+    * `columns` (§2.2, Figure 5): one CTE per step, named after its position
+    * and issue, each selecting from the one before.
+    */
+  def renderScript(steps: Seq[CleaningStep], columns: Seq[String], quote: String => String): String =
+    if (steps.isEmpty) "-- no data quality issues detected\nSELECT * FROM input"
+    else {
+      val names = steps.zipWithIndex.map { case (s, i) => s"cleaned_${i + 1}_${s.issue.replace('-', '_')}" }
+      val ctes = steps.lazyZip(names).lazyZip("input" +: names).map { (step, name, from) =>
+        s"$name AS (\n${renderSelect(step, columns, from, quote)}\n)"
+      }
+      s"${ctes.mkString("WITH ", ",\n", "")}\nSELECT * FROM ${names.last}"
+    }
 
   /** Apply one step by executing its generated SQL through Catalyst — the
     * reproduction runs the very SQL text Cocoon emits, not a parallel

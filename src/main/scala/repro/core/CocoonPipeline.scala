@@ -12,10 +12,13 @@ import repro.util.SqlGen
 final case class CocoonConfig(keyCol: String = "row_id", tableDesc: String = "table")
 
 /** The result of a Cocoon run: the cleaned DataFrame, the per-issue steps
-  * that fired, and the full commented SQL script (Figure 5 analogue) — a CTE
-  * chain equivalent to what was executed.
+  * that fired, and the input's columns. `script` is the full commented SQL
+  * script (Figure 5 analogue), a CTE chain equivalent to what was executed;
+  * [[CleaningStep.renderScript]] renders the same steps in another dialect.
   */
-final case class CocoonResult(cleaned: DataFrame, steps: Seq[CleaningStep], script: String)
+final case class CocoonResult(cleaned: DataFrame, steps: Seq[CleaningStep], columns: Seq[String]) {
+  lazy val script: String = CleaningStep.renderScript(steps, columns, SqlGen.ident)
+}
 
 /** The paper's core contribution: decompose cleaning per issue type, each
   * issue into statistical detection → semantic detection → semantic cleaning,
@@ -40,44 +43,35 @@ object CocoonPipeline {
       llm: LLMClient,
       cfg: CocoonConfig = CocoonConfig(),
   ): CocoonResult = {
-    val exclude = Set(cfg.keyCol)
-    val stages: Seq[(String, (DataFrame, TableProfile) => Option[CleaningStep])] = Seq(
-      ("string_outliers", StringOutliers.step(_, _, llm, exclude)),
-      ("pattern_outliers", PatternOutliers.step(_, _, llm, exclude)),
-      ("dmv", Dmv.step(_, _, llm, exclude)),
-      ("column_type", ColumnType.step(_, _, llm, exclude)),
-      ("numeric_outliers", NumericOutliers.step(_, _, llm, exclude)),
-      ("functional_deps", FunctionalDeps.step(_, _, llm, exclude)),
-      ("duplication", Duplication.step(_, _, llm, cfg.tableDesc)),
-      ("uniqueness", Uniqueness.step(_, _, llm, Some(cfg.keyCol))),
+    // No rewrite changes a column's type, so these hold for every stage.
+    val columns = input.columns.toSeq
+    val data    = columns.filterNot(_ == cfg.keyCol)
+    val strings = CleaningStep.stringColumns(input, Set(cfg.keyCol))
+    val stages: Seq[(DataFrame, TableProfile) => CleaningStep] = Seq(
+      (_, p) => StringOutliers.step(strings, p, llm),
+      (_, p) => PatternOutliers.step(strings, p, llm),
+      (_, p) => Dmv.step(strings, p, llm),
+      (_, p) => ColumnType.step(strings, p, llm),
+      (_, p) => NumericOutliers.step(data, p, llm),
+      FunctionalDeps.step(_, strings, _, llm),
+      Duplication.step(_, _, llm, cfg.tableDesc),
+      (_, p) => Uniqueness.step(columns, p, llm, Some(cfg.keyCol).filter(columns.contains)),
     )
 
     var df      = input
     var profile = Option.empty[TableProfile] // None: not yet built for this table state
     var steps   = Vector.empty[CleaningStep]
-    var ctes    = Vector.empty[(String, String)] // (cteName, selectSql)
-    var rel     = "input"
-
-    for ((name, stage) <- stages) {
+    for (stage <- stages) {
       val p = profile.getOrElse(TableProfile.of(df))
       profile = Some(p)
-      stage(df, p).filterNot(_.isNoop).foreach { step =>
-        val cte = s"cleaned_${steps.size + 1}_$name"
-        ctes :+= (cte, CleaningStep.renderSelect(step, df.columns.toSeq, rel, SqlGen.ident))
+      val step = stage(df, p)
+      if (!step.isNoop) {
         profile = ProfileCarry.after(spark, df, p, step)
         // keep lineage flat across the eight stages
         df = CleaningStep.apply(spark, df, step).localCheckpoint(eager = true)
-        rel = cte
         steps :+= step
       }
     }
-
-    val script =
-      if (ctes.isEmpty) "-- no data quality issues detected\nSELECT * FROM input"
-      else {
-        val body = ctes.map { case (n, s) => s"$n AS (\n$s\n)" }.mkString("WITH ", ",\n", "")
-        s"$body\nSELECT * FROM $rel"
-      }
-    CocoonResult(df, steps, script)
+    CocoonResult(df, steps, columns)
   }
 }

@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
 import repro.llm.{Knowledge, LLMClient}
 import repro.profile.TableProfile
 
@@ -20,39 +19,23 @@ object ColumnType {
   /** Most frequent values the LLM reviews per column. */
   private val MaxValues = 3000
 
-  def step(df: DataFrame, profile: TableProfile, llm: LLMClient, exclude: Set[String] = Set.empty): Option[CleaningStep] = {
-    val rewrites = CleaningStep.stringColumns(df, exclude).flatMap { c =>
+  def step(columns: Seq[String], profile: TableProfile, llm: LLMClient): CleaningStep =
+    CleaningStep.perColumn("column-type", columns) { c =>
       val values = profile.frequentValues(c, MaxValues)
       llm.suggestType(c, "string", values).flatMap { sug =>
-        sug.rewriteKind match {
-          case "boolean" =>
-            val mapping = values
-              .flatMap(v => Knowledge.booleanConcept(v.value).filter(_ != v.value).map(v.value -> _))
-              .sortBy(_._1)
-            Option.when(mapping.nonEmpty)(
-              ColumnRewrite(c, MapValues(mapping), s"${sug.reasoning} Cast to ${sug.targetType}.")
-            )
-          case "duration-minutes" =>
-            val mapping = values
-              .flatMap { v =>
-                Knowledge.Duration.parseMinutes(v.value).map(m => v.value -> m.toDouble.toString)
-              }
-              .filter { case (bad, good) => bad != good }
-              .sortBy(_._1)
-            Option.when(mapping.nonEmpty)(
-              ColumnRewrite(c, MapValues(mapping), s"${sug.reasoning} Cast to ${sug.targetType} (total minutes).")
-            )
-          case "rating-number" =>
-            val mapping = values
-              .flatMap(v => Knowledge.Rating.render(v.value, "plain").filter(_ != v.value).map(v.value -> _))
-              .sortBy(_._1)
-            Option.when(mapping.nonEmpty)(
-              ColumnRewrite(c, MapValues(mapping), s"${sug.reasoning} Cast to ${sug.targetType}.")
-            )
-          case _ => None // numeric-cast: representation-preserving, nothing to emit
+        // How each value is rewritten, and what the reasoning adds.
+        val conversion: Option[(String => Option[String], String)] = sug.rewriteKind match {
+          case "boolean"          => Some((Knowledge.booleanConcept, ""))
+          case "duration-minutes" => Some((Knowledge.Duration.parseMinutes(_).map(_.toDouble.toString), " (total minutes)"))
+          case "rating-number"    => Some((Knowledge.Rating.render(_, "plain"), ""))
+          case _                  => None // numeric-cast: representation-preserving, nothing to emit
+        }
+        conversion.flatMap { case (convert, suffix) =>
+          val mapping = values.flatMap(v => convert(v.value).filter(_ != v.value).map(v.value -> _)).sortBy(_._1)
+          Option.when(mapping.nonEmpty)(
+            ColumnRewrite(c, MapValues(mapping), s"${sug.reasoning} Cast to ${sug.targetType}$suffix.")
+          )
         }
       }
     }
-    if (rewrites.isEmpty) None else Some(CleaningStep("column-type", rewrites))
-  }
 }

@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
 import repro.llm.LLMClient
 import repro.profile.TableProfile
 
@@ -15,20 +14,16 @@ object Dmv {
   /** Most frequent values the LLM reviews per column. */
   private val MaxValues = 2000
 
-  def step(df: DataFrame, profile: TableProfile, llm: LLMClient, exclude: Set[String] = Set.empty): Option[CleaningStep] = {
-    val rewrites = CleaningStep.stringColumns(df, exclude).flatMap { c =>
+  def step(columns: Seq[String], profile: TableProfile, llm: LLMClient): CleaningStep =
+    CleaningStep.perColumn("dmv", columns) { c =>
       val values = profile.frequentValues(c, MaxValues)
       val dmv    = llm.identifyDmv(c, values).distinct.sorted
-      if (dmv.isEmpty) None
-      else
-        Some(
-          ColumnRewrite(
-            c,
-            MapToNull(dmv),
-            s"Values ${dmv.map(v => s"'$v'").mkString(", ")} semantically denote a missing value; replaced with NULL.",
-          )
+      Option.when(dmv.nonEmpty)(
+        ColumnRewrite(
+          c,
+          MapToNull(dmv),
+          s"Values ${dmv.map(v => s"'$v'").mkString(", ")} semantically denote a missing value; replaced with NULL.",
         )
+      )
     }
-    if (rewrites.isEmpty) None else Some(CleaningStep("disguised-missing-values", rewrites))
-  }
 }

@@ -12,14 +12,15 @@ import repro.profile.{Profiler, TableProfile}
   */
 object Duplication {
 
-  def step(df: DataFrame, profile: TableProfile, llm: LLMClient, tableDesc: String): Option[CleaningStep] = {
+  def step(df: DataFrame, profile: TableProfile, llm: LLMClient, tableDesc: String): CleaningStep = {
     val dups = Profiler.duplicateRowCount(df, profile)
-    if (dups == 0) None
-    else if (llm.duplicationAcceptable(tableDesc, dups, profile.rowCount)) None
-    else {
-      val why = s"$dups of ${profile.rowCount} rows are exact copies of another row, which '$tableDesc' should not " +
-        "contain; kept one copy of each."
-      Some(CleaningStep("duplication", Seq.empty, DistinctRows(why)))
-    }
+    val rows =
+      if (dups == 0 || llm.duplicationAcceptable(tableDesc, dups, profile.rowCount)) KeepAllRows
+      else
+        DistinctRows(
+          s"$dups of ${profile.rowCount} rows are exact copies of another row, which '$tableDesc' should not " +
+            "contain; kept one copy of each."
+        )
+    CleaningStep("duplication", Seq.empty, rows)
   }
 }

@@ -22,18 +22,16 @@ object FunctionalDeps {
   /** Violating groups resolved per FD, largest first. */
   private val MaxGroups = 600
 
-  def step(df: DataFrame, profile: TableProfile, llm: LLMClient, exclude: Set[String] = Set.empty): Option[CleaningStep] = {
-    val cols = CleaningStep.stringColumns(df, exclude)
-    if (cols.size < 2) return None
+  /** `columns` are the string columns an FD may relate; `df` is scored. */
+  def step(df: DataFrame, columns: Seq[String], profile: TableProfile, llm: LLMClient): CleaningStep = {
     val rows = profile.rowCount
-    if (rows == 0) return None
 
     // Semantic gate first (cheap), then one statistical scoring query over
     // the surviving pairs — same outcome as score-then-review. The lhs of a
     // useful FD must repeat (a key trivially determines everything).
     val candidatePairs = for {
-      lhs <- cols
-      rhs <- cols
+      lhs <- columns
+      rhs <- columns
       if lhs != rhs
       if profile(lhs).distinctCount > 1 && profile(lhs).distinctCount < rows * 0.9
       if llm.reviewFdMeaningful(lhs, rhs)
@@ -66,6 +64,6 @@ object FunctionalDeps {
           s"${cases.map(_.lhsCol).distinct.mkString("/")} → $rhs; repaired to the group-consistent value.",
       )
     }
-    if (rewrites.isEmpty) None else Some(CleaningStep("functional-dependencies", rewrites))
+    CleaningStep("functional-deps", rewrites)
   }
 }

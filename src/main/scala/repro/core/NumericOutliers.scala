@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
 import repro.llm.LLMClient
 import repro.profile.TableProfile
 
@@ -13,14 +12,8 @@ import repro.profile.TableProfile
   */
 object NumericOutliers {
 
-  def step(
-      df: DataFrame,
-      profile: TableProfile,
-      llm: LLMClient,
-      exclude: Set[String] = Set.empty,
-  ): Option[CleaningStep] = {
-    val cols = df.columns.toSeq.filterNot(exclude)
-    val rewrites = cols.flatMap { c =>
+  def step(columns: Seq[String], profile: TableProfile, llm: LLMClient): CleaningStep =
+    CleaningStep.perColumn("numeric-outliers", columns) { c =>
       val prof = profile(c)
       if (prof.numericParseRate < 0.99 || prof.minNumeric.isEmpty) None
       else
@@ -35,6 +28,4 @@ object NumericOutliers {
           )
         }
     }
-    if (rewrites.isEmpty) None else Some(CleaningStep("numeric-outliers", rewrites))
-  }
 }

@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
 import repro.llm.{Knowledge, LLMClient}
 import repro.profile.TableProfile
 
@@ -18,8 +17,8 @@ object PatternOutliers {
   /** Most frequent values the LLM reviews per column. */
   private val MaxValues = 3000
 
-  def step(df: DataFrame, profile: TableProfile, llm: LLMClient, exclude: Set[String] = Set.empty): Option[CleaningStep] = {
-    val rewrites = CleaningStep.stringColumns(df, exclude).flatMap { c =>
+  def step(columns: Seq[String], profile: TableProfile, llm: LLMClient): CleaningStep =
+    CleaningStep.perColumn("pattern-outliers", columns) { c =>
       val values = profile.frequentValues(c, MaxValues)
       llm.reviewPatterns(c, values).flatMap { review =>
         val family = Knowledge.formatFamilies.find(_.name == review.familyName).get
@@ -33,17 +32,13 @@ object PatternOutliers {
             }
           }
           .sortBy(_._1)
-        if (mapping.isEmpty) None
-        else
-          Some(
-            ColumnRewrite(
-              c,
-              MapValues(mapping),
-              s"${review.reasoning} Standardised ${mapping.size} values to the '$dominant' format.",
-            )
+        Option.when(mapping.nonEmpty)(
+          ColumnRewrite(
+            c,
+            MapValues(mapping),
+            s"${review.reasoning} Standardised ${mapping.size} values to the '$dominant' format.",
           )
+        )
       }
     }
-    if (rewrites.isEmpty) None else Some(CleaningStep("pattern-outliers", rewrites))
-  }
 }

@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
 import repro.llm.LLMClient
 import repro.profile.TableProfile
 
@@ -20,8 +19,8 @@ object StringOutliers {
   /** Values per LLM call: §2.1.1's batch. */
   private val BatchSize = 1000
 
-  def step(df: DataFrame, profile: TableProfile, llm: LLMClient, exclude: Set[String] = Set.empty): Option[CleaningStep] = {
-    val rewrites = CleaningStep.stringColumns(df, exclude).flatMap { c =>
+  def step(columns: Seq[String], profile: TableProfile, llm: LLMClient): CleaningStep =
+    CleaningStep.perColumn("string-outliers", columns) { c =>
       val values = profile.frequentValues(c, MaxValues)
       // One LLM call per batch of distinct values, as the paper does to stay
       // inside the context window on wide domains.
@@ -39,18 +38,14 @@ object StringOutliers {
           .toSeq
           .filter { case (bad, good) => bad != good }
           .sortBy(_._1)
-        if (mapping.isEmpty) None
-        else
-          Some(
-            ColumnRewrite(
-              c,
-              MapValues(mapping),
-              s"${mapping.size} values contain typos or redundant representations of more common values; " +
-                "mapped to their canonical forms.",
-            )
+        Option.when(mapping.nonEmpty)(
+          ColumnRewrite(
+            c,
+            MapValues(mapping),
+            s"${mapping.size} values contain typos or redundant representations of more common values; " +
+              "mapped to their canonical forms.",
           )
+        )
       }
     }
-    if (rewrites.isEmpty) None else Some(CleaningStep("string-outliers", rewrites))
-  }
 }

@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
 import repro.llm.LLMClient
 import repro.profile.TableProfile
 
@@ -22,18 +21,21 @@ object Uniqueness {
       .getOrElse(others.headOption.getOrElse(keyCol))
   }
 
-  /** `rowKey`, the table's row identifier, is never a candidate and breaks
-    * ties in the order column.
+  /** `columns` are all the table's columns. `rowKey`, the table's row
+    * identifier and one of `columns`, is never a candidate and breaks ties in
+    * the order column.
     */
-  def step(df: DataFrame, profile: TableProfile, llm: LLMClient, rowKey: Option[String] = None): Option[CleaningStep] =
-    df.columns.toSeq
+  def step(columns: Seq[String], profile: TableProfile, llm: LLMClient, rowKey: Option[String] = None): CleaningStep = {
+    val rows = columns
       .filterNot(rowKey.contains)
       .map(c => (c, profile(c).uniqueRatio))
       .find { case (c, ratio) => ratio < 1.0 && llm.shouldBeUnique(c, ratio) }
       .map { case (key, ratio) =>
-        val ord = pickOrderColumn(df.columns.toSeq, key)
+        val ord = pickOrderColumn(columns, key)
         val why = s"'$key' identifies a record, but only ${math.round(ratio * 100)}% of its values are unique; " +
           s"kept one row per '$key', the latest by '$ord'."
-        CleaningStep("uniqueness", Seq.empty, KeepFirstPerKey(key, ord, rowKey, why))
+        KeepFirstPerKey(key, ord, rowKey, why)
       }
+    CleaningStep("uniqueness", Seq.empty, rows.getOrElse(KeepAllRows))
+  }
 }

@@ -30,10 +30,7 @@ object SqlGen {
     if (mapping.isEmpty) quote(col)
     else {
       val whens = mapping
-        .map { case (bad, good) =>
-          val thenPart = if (good == null) "NULL" else lit(good)
-          s"WHEN ${quote(col)} = ${lit(bad)} THEN $thenPart"
-        }
+        .map { case (bad, good) => s"WHEN ${quote(col)} = ${lit(bad)} THEN ${lit(good)}" }
         .mkString(" ")
       s"CASE $whens ELSE ${quote(col)} END"
     }

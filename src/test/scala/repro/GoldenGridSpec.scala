@@ -2,17 +2,19 @@ package repro
 
 import org.apache.spark.sql.DataFrame
 import repro.baselines.{HoloCleanLite, RahaBaranLite}
-import repro.core.{CocoonConfig, CocoonPipeline}
+import repro.core.{CleaningStep, CocoonConfig, CocoonPipeline}
 import repro.datasets.BenchDataset
 import repro.eval.{Harness, Metrics}
 import repro.llm.SimulatedLLM
+import repro.util.SqlGen
 
 /** Cocoon's behaviour contract: the exact cell counts it produces on each of
   * the five benchmarks at their default seeds, and the SHA-256 of the SQL
   * script it emits (§2.2). Everything is seeded and deterministic, so these
   * are integers and hashes, not tolerances; a refactor that moves one of them
   * changes what Cocoon does. Spark runs each emitted script over the input,
-  * and it must give the same rows as the pipeline's cleaned table.
+  * and DuckDB the same steps rendered in its dialect, and both must give the
+  * same rows as the pipeline's cleaned table.
   *
   * The same runs bound the Spark jobs one pipeline run starts. Job count does
   * not depend on the hardware: a run profiles its input once, carries the
@@ -80,6 +82,7 @@ class GoldenGridSpec extends JobCounting {
         assert(res.cleaned.exceptAll(scripted).isEmpty, s"$name: rows of cleaned missing from the script's output")
         assert(scripted.exceptAll(res.cleaned).isEmpty, s"$name: rows of the script's output missing from cleaned")
       } finally spark.catalog.dropTempView("input")
+      Oracle.assertEquivalent(res.cleaned, CleaningStep.renderScript(res.steps, res.columns, SqlGen.identAnsi), "input" -> ds.dirty)
     }
 
   /** The baselines share the driver-side [[repro.eval.LocalTable]] code; Flights

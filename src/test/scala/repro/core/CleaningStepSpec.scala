@@ -104,15 +104,16 @@ class CleaningStepSpec extends SparkSpec {
   }
 
   test("generated SQL is portable: keep-first-per-key step, ties broken by the row key") {
-    // The oracle loads every column as text, so the row keys are single
-    // digits, whose text and numeric orders agree. Key k1's two latest rows
-    // tie on `t`; only the row key picks row 2. A NULL `t` sorts last.
+    // Key k1's two latest rows tie on `t`; only the row key picks row 2. Key
+    // k4's rows tie too, and only the numeric order of row keys 9 and 10
+    // picks row 9. A NULL `t` sorts last.
     val keyed = Seq(
       (3L, "k1", "2020-02", "tied-high"), (2L, "k1", "2020-02", "tied-low"), (1L, "k1", "2020-01", "older"),
       (4L, "k2", null, "undated"), (5L, "k2", "2019-12", "dated"), (6L, "k3", "2020-03", "alone"),
+      (10L, "k4", "2020-04", "tied-ten"), (9L, "k4", "2020-04", "tied-nine"),
     ).toDF("row_id", "k", "t", "payload")
     val step = CleaningStep("uniqueness", Seq.empty, KeepFirstPerKey("k", "t", Some("row_id"), "r"))
     val out = assertPortable(keyed, step)
-    assert(out.select("payload").as[String].collect().sorted.toSeq == Seq("alone", "dated", "tied-low"))
+    assert(out.select("payload").as[String].collect().sorted.toSeq == Seq("alone", "dated", "tied-low", "tied-nine"))
   }
 }

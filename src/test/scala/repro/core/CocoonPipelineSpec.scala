@@ -21,8 +21,8 @@ class CocoonPipelineSpec extends JobCounting {
     val res = CocoonPipeline.run(spark, datesDf, llm)
     val issues = res.steps.map(_.issue)
     assert(issues == issues.sortBy(Seq(
-      "string-outliers", "pattern-outliers", "disguised-missing-values", "column-type",
-      "numeric-outliers", "functional-dependencies", "duplication", "uniqueness").indexOf))
+      "string-outliers", "pattern-outliers", "dmv", "column-type",
+      "numeric-outliers", "functional-deps", "duplication", "uniqueness").indexOf))
   }
 
   test("duration column flows pattern standardisation → minutes cast") {
@@ -34,6 +34,14 @@ class CocoonPipelineSpec extends JobCounting {
   test("key column is never rewritten") {
     val res = CocoonPipeline.run(spark, datesDf, llm)
     assert(res.cleaned.select("row_id").as[Long].collect().sorted.toSeq == (0L until 36L))
+
+    // A string key holding a disguised missing value and a near-typo of a
+    // frequent key: the same values in a data column are rewritten.
+    val keys = Seq.fill(20)("Birmingham") ++ Seq("Birmxngham", "N/A")
+    val stringKeyed = keys.zipWithIndex.map { case (k, i) => (k, k, i.toLong) }.toDF("row_id", "city", "seq")
+    val cleaned = CocoonPipeline.run(spark, stringKeyed, llm).cleaned
+    assert(cleaned.select("row_id").as[String].collect().sorted.toSeq == keys.sorted)
+    assert(cleaned.filter("city = 'Birmxngham' OR city = 'N/A'").isEmpty)
   }
 
   test("emitted script is a commented WITH-chain over the executed stages") {
@@ -103,6 +111,16 @@ class CocoonPipelineSpec extends JobCounting {
       assert(CocoonPipeline.run(spark, df, llm).steps.nonEmpty)
       assert(df.storageLevel.useMemory)
     } finally df.unpersist()
+  }
+
+  test("uniqueness stage dedupes a keyless table") {
+    // The configured key is not a column, so no row key breaks ties.
+    val rows = (0 until 19).map(i => (s"k$i", s"2020-01-${10 + i}")) :+ (("k0", "2021-06-01"))
+    val df = rows.toDF("customer_id", "updated_at")
+    val res = CocoonPipeline.run(spark, df, llm, CocoonConfig(keyCol = "none", tableDesc = "customers"))
+    assert(res.steps.last.issue == "uniqueness")
+    assert(res.cleaned.count() == 19)
+    assert(res.cleaned.filter("customer_id = 'k0'").select("updated_at").collect().head.getString(0) == "2021-06-01")
   }
 
   test("uniqueness stage dedupes a near-unique key table") {

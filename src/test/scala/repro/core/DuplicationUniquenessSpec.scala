@@ -16,19 +16,19 @@ class DuplicationUniquenessSpec extends SparkSpec {
 
   test("duplication: erroneous duplicates are dropped via SELECT DISTINCT") {
     val df = (Seq.fill(3)(("a", "1")) ++ Seq(("b", "2"))).toDF("x", "y")
-    val step = Duplication.step(df, TableProfile.of(df), llm, "customers").get
+    val step = Duplication.step(df, TableProfile.of(df), llm, "customers")
     assert(step.rows.isInstanceOf[DistinctRows])
     assert(CleaningStep.apply(spark, df, step).count() == 2)
   }
 
   test("duplication: log-like tables keep duplicates (semantic acceptance)") {
     val df = (Seq.fill(3)(("a", "1")) ++ Seq(("b", "2"))).toDF("x", "y")
-    assert(Duplication.step(df, TableProfile.of(df), llm, "sensor event log").isEmpty)
+    assert(Duplication.step(df, TableProfile.of(df), llm, "sensor event log").isNoop)
   }
 
   test("duplication: no duplicates, no step") {
     val df = Seq(("a", "1"), ("b", "2")).toDF("x", "y")
-    assert(Duplication.step(df, TableProfile.of(df), llm, "customers").isEmpty)
+    assert(Duplication.step(df, TableProfile.of(df), llm, "customers").isNoop)
   }
 
   test("uniqueness: near-unique key column deduped keeping latest by order column") {
@@ -36,7 +36,7 @@ class DuplicationUniquenessSpec extends SparkSpec {
     val rows = (0 until 19).map(i => (s"k$i", s"2020-01-${10 + i}", "old")) :+
       (("k0", "2021-06-01", "new"))
     val df = rows.toDF("customer_id", "updated_at", "payload")
-    val step = Uniqueness.step(df, TableProfile.of(df), llm).get
+    val step = Uniqueness.step(df.columns.toSeq, TableProfile.of(df), llm)
     assert(keyAndOrder(step) == ("customer_id", "updated_at"))
     val out = CleaningStep.apply(spark, df, step)
     assert(out.count() == 19)
@@ -49,7 +49,7 @@ class DuplicationUniquenessSpec extends SparkSpec {
     val rows = (0 until 19).map(i => (i.toLong + 10, s"k$i", s"2020-01-${10 + i}", "old")) :+
       ((3L, "k0", "2020-01-10", "tied"))
     val df = rows.toDF("row_id", "customer_id", "updated_at", "payload")
-    val step = Uniqueness.step(df, TableProfile.of(df), llm, Some("row_id")).get
+    val step = Uniqueness.step(df.columns.toSeq, TableProfile.of(df), llm, Some("row_id"))
     assert(keyAndOrder(step) == ("customer_id", "updated_at"))
     def survivor(in: org.apache.spark.sql.DataFrame) =
       CleaningStep.apply(spark, in, step).filter("customer_id = 'k0'").select("row_id", "payload").collect().toSeq
@@ -61,12 +61,12 @@ class DuplicationUniquenessSpec extends SparkSpec {
 
   test("uniqueness: fully unique key needs no plan") {
     val df = Seq(("k1", "a"), ("k2", "b")).toDF("customer_id", "v")
-    assert(Uniqueness.step(df, TableProfile.of(df), llm).isEmpty)
+    assert(Uniqueness.step(df.columns.toSeq, TableProfile.of(df), llm).isNoop)
   }
 
   test("uniqueness: non-key columns are not deduped") {
     val df = Seq(("Boston", "a"), ("Boston", "b"), ("Denver", "c")).toDF("city", "v")
-    assert(Uniqueness.step(df, TableProfile.of(df), llm).isEmpty)
+    assert(Uniqueness.step(df.columns.toSeq, TableProfile.of(df), llm).isNoop)
   }
 
   test("uniqueness: order column prefers time-like names") {
@@ -76,6 +76,6 @@ class DuplicationUniquenessSpec extends SparkSpec {
 
   test("uniqueness: key column below the ratio bar is left alone") {
     val df = (Seq.fill(10)(("k1", "x")) ++ Seq.fill(10)(("k2", "y"))).toDF("customer_id", "v")
-    assert(Uniqueness.step(df, TableProfile.of(df), llm).isEmpty)
+    assert(Uniqueness.step(df.columns.toSeq, TableProfile.of(df), llm).isNoop)
   }
 }
