@@ -30,7 +30,15 @@ final case class RangeClamp(lo: Option[Double], hi: Option[Double]) extends Rewr
   */
 final case class FdCase(lhsCol: String, lhsVal: String, badRhs: String, target: String, rows: Long)
 
-/** `CASE WHEN lhs='l' AND col='bad' THEN 'good' ... ELSE col END`. */
+/** FD repairs of one column, rendered grouped by lhs column:
+  * `COALESCE(CASE lhs1 WHEN 'l' THEN CASE col WHEN 'bad' THEN 'good' ... END
+  * ... END, CASE lhs2 ..., col)`, the groups in arm order. A row takes the
+  * arm of the first lhs column with one that matches it, as a flat
+  * `CASE WHEN lhs = 'l' AND col = 'bad'` over arms sorted by lhs column
+  * would, when `(lhsCol, lhsVal, badRhs)` is unique and no target is NULL.
+  * Nesting keeps each group a short simple `CASE`, which whole-stage
+  * codegen compiles where a flat `CASE` of hundreds of arms overflows.
+  */
 final case class FdRepair(cases: Seq[FdCase]) extends Rewrite
 
 /** A column rewrite with the LLM's natural-language reasoning, which becomes
@@ -86,15 +94,20 @@ object CleaningStep {
     case FdRepair(cases) =>
       if (cases.isEmpty) quote(col)
       else {
-        val whens = cases
-          .map(c =>
-            s"WHEN ${quote(c.lhsCol)} = ${SqlGen.lit(c.lhsVal)} AND ${quote(col)} = ${SqlGen.lit(c.badRhs)} " +
-              s"THEN ${SqlGen.lit(c.target)}"
-          )
-          .mkString(" ")
-        s"CASE $whens ELSE ${quote(col)} END"
+        val groups = inOrder(cases)(_.lhsCol).map { case (lhs, byLhs) =>
+          val whens = inOrder(byLhs)(_.lhsVal).map { case (lhsVal, arms) =>
+            val inner = arms.map(c => s"WHEN ${SqlGen.lit(c.badRhs)} THEN ${SqlGen.lit(c.target)}").mkString(" ")
+            s"WHEN ${SqlGen.lit(lhsVal)} THEN CASE ${quote(col)} $inner END"
+          }
+          s"CASE ${quote(lhs)} ${whens.mkString(" ")} END"
+        }
+        s"COALESCE(${(groups :+ quote(col)).mkString(", ")})"
       }
   }
+
+  /** `xs` grouped by `key`, the groups and their members in `xs`'s order. */
+  private def inOrder[A, K](xs: Seq[A])(key: A => K): Seq[(K, Seq[A])] =
+    xs.map(key).distinct.map(k => k -> xs.filter(key(_) == k))
 
   /** Full SELECT for one step over `fromRelation`, with reasoning comments.
     * `KeepFirstPerKey` picks its rows before the rewrites, `DISTINCT` after.

@@ -15,6 +15,10 @@ final case class CocoonConfig(keyCol: String = "row_id", tableDesc: String = "ta
   * that fired, and the input's columns. `script` is the full commented SQL
   * script (Figure 5 analogue), a CTE chain equivalent to what was executed;
   * [[CleaningStep.renderScript]] renders the same steps in another dialect.
+  *
+  * `cleaned` is a lazy plan, the steps' SELECTs over the input, and a run
+  * persists nothing: every read of it runs the whole chain again, so cache
+  * it to read it twice.
   */
 final case class CocoonResult(cleaned: DataFrame, steps: Seq[CleaningStep], columns: Seq[String]) {
   lazy val script: String = CleaningStep.renderScript(steps, columns, SqlGen.ident)
@@ -33,7 +37,9 @@ final case class CocoonResult(cleaned: DataFrame, steps: Seq[CleaningStep], colu
   * duplicate rows). A run profiles its input once; after each step the next
   * profile is carried on the driver ([[ProfileCarry]]), and the table is
   * profiled again only where the carry cannot be exact and a later stage
-  * reads the profile.
+  * reads the profile. The applied steps are chained as one plan over the
+  * input, as the script chains its CTEs; only the profile builds and the
+  * two stages that query the table start Spark jobs.
   */
 object CocoonPipeline {
 
@@ -67,8 +73,7 @@ object CocoonPipeline {
       val step = stage(df, p)
       if (!step.isNoop) {
         profile = ProfileCarry.after(spark, df, p, step)
-        // keep lineage flat across the eight stages
-        df = CleaningStep.apply(spark, df, step).localCheckpoint(eager = true)
+        df = CleaningStep.apply(spark, df, step)
         steps :+= step
       }
     }

@@ -12,7 +12,8 @@ import repro.profile.{Profiler, TableProfile}
   * meaningful (by what the columns denote); for each violating group the LLM
   * resolves the correct value — or declines when the group has no confident
   * majority (the paper's Flights discussion: ambiguous groups are preserved
-  * rather than guessed). Cleaning is a CASE WHEN on (lhs, rhs).
+  * rather than guessed). Cleaning is a CASE on the lhs, then on the rhs
+  * ([[FdRepair]]).
   */
 object FunctionalDeps {
 
@@ -56,6 +57,12 @@ object FunctionalDeps {
       .mapValues(_.map(_._2))
       .toMap
 
+    // The invariants under which the grouped rendering of `FdRepair` picks
+    // the arm a flat CASE over the sorted arms would.
+    for ((rhs, cases) <- casesByRhs) {
+      require(cases.map(c => (c.lhsCol, c.lhsVal, c.badRhs)).distinct.size == cases.size, s"$rhs: two FD arms share a guard")
+      require(cases.forall(_.target != null), s"$rhs: an FD arm has a NULL target")
+    }
     val rewrites = casesByRhs.toSeq.sortBy(_._1).map { case (rhs, cases) =>
       ColumnRewrite(
         rhs,

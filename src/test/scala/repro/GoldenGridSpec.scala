@@ -19,13 +19,19 @@ import repro.util.SqlGen
   * The same runs bound the Spark jobs one pipeline run starts. Job count does
   * not depend on the hardware: a run profiles its input once, carries the
   * profile through value maps on the driver, scores FDs in one query, gives
-  * each of these queries one shuffle and reads the absence of duplicate rows
-  * off the profile, so it takes 6–10 jobs, where profiling each column in
-  * each stage took hundreds.
+  * each of these queries one shuffle, reads the absence of duplicate rows
+  * off the profile and chains the steps into one plan, so it takes 4 jobs,
+  * where profiling each column in each stage took hundreds. Hospital takes
+  * 6: its FD arms overlap, so the table is profiled again after the FD step.
+  * The first read of the cleaned table runs that plan in 3 more, so the
+  * bound on the run and its read catches work moved into the reader. Every
+  * run, its scoring and its script compile under whole-stage codegen: a
+  * fallback to interpreted execution fails the test.
   */
 class GoldenGridSpec extends JobCounting {
 
-  private val MaxJobsPerRun = 12
+  private val MaxJobsPerRun        = 6
+  private val MaxJobsPerRunAndRead = 9
 
   /** (changedCells, correctChanges, errorCells) under the Table-1 rules
     * (column-type and DMV cells excluded), then under the Table-3 rules
@@ -41,47 +47,54 @@ class GoldenGridSpec extends JobCounting {
 
   /** SHA-256 of `CocoonResult.script` per benchmark. */
   private val pinnedScripts = Map(
-    "hospital" -> "0f89aa631f5002511118849003cb3bf7c8813d77f3a738f0667f2d1daca4a253",
-    "flights"  -> "11dc8c073ac4a34a7996f0d9c277899be2603a92ed354e97d95f2c206bd57a5a",
-    "beers"    -> "ea496550da3b10600734d2af6839742e19b30bbff6d2e91dc1e7debd05bec4ea",
-    "rayyan"   -> "aaba6c632ac433279cbd8f74139da02ed029e43af4b2c521f64d25d810e25dff",
-    "movies"   -> "f41cacd40044e5bc41088a1a4be221f941fb10cbfa33a959a54abe501928ecc8",
+    "hospital" -> "cc4bc46d22664cbc93fa5e394cf9dc69b4f64c3d5a731cd4294aaed4e8560519",
+    "flights"  -> "f46f47a0b687a5f68cd0f72e1a37fefd42031c8fca031c1ada3c42ac2367650e",
+    "beers"    -> "9588434418d91b6b256b34bf1dd58143f82aad4764ed2ce8bff06d671e40b205",
+    "rayyan"   -> "b86c04cff780fbfbc84aaa287bdfb1a0d1ebc9b220562fc48e89c54adc830ca4",
+    "movies"   -> "a01a856b77bb376ae93b8f31b960b21ce9f708fc54f7d607dd4fb669d59103e5",
   )
 
   /** The cells of `clean`'s output on `ds` under the Table-1 and the Table-3
-    * rules, with the value `clean` returns beside its output and its job count.
+    * rules, with the value `clean` returns beside its output, the jobs
+    * `clean` starts and the jobs of the first read of its output.
     */
   private def cellCounts[A](name: String, ds: BenchDataset)(clean: => (DataFrame, A)) = {
     val ((cleaned, extra), runJobs) = countingJobs(clean)
     val out = cleaned.cache()
     try {
+      val (_, readJobs) = countingJobs(out.count())
       def counts(excluded: Set[String]) = {
         val s = Metrics.score(ds, name, out, excluded)
         (s.changedCells, s.correctChanges, s.errorCells)
       }
-      (counts(Metrics.table1Excluded), counts(Set.empty), extra, runJobs)
+      (counts(Metrics.table1Excluded), counts(Set.empty), extra, (runJobs, readJobs))
     } finally out.unpersist()
   }
 
   for ((name, (table1, table3)) <- pinned)
     test(s"Cocoon's cell counts on $name are pinned under the Table-1 and Table-3 rules") {
       val ds = Harness.dataset(spark, name)
-      val (t1, t3, res, runJobs) = cellCounts("Cocoon", ds) {
-        val res = CocoonPipeline.run(spark, ds.dirty, new SimulatedLLM(), CocoonConfig(keyCol = ds.keyCol, tableDesc = ds.name))
-        (res.cleaned, res)
+      val ((t1, t3, res, (runJobs, readJobs)), runFallbacks) = CodegenFallbacks.counting {
+        cellCounts("Cocoon", ds) {
+          val res = CocoonPipeline.run(spark, ds.dirty, new SimulatedLLM(), CocoonConfig(keyCol = ds.keyCol, tableDesc = ds.name))
+          (res.cleaned, res)
+        }
       }
-      info(s"$runJobs Spark jobs")
+      info(s"$runJobs Spark jobs in the run, $readJobs in the first read")
       assert(t1 == table1)
       assert(t3 == table3)
       assert(Sha256(res.script) == pinnedScripts(name), s"$name: the emitted script changed")
       assert(runJobs <= MaxJobsPerRun, s"$name: $runJobs Spark jobs in one run")
+      assert(runJobs + readJobs <= MaxJobsPerRunAndRead, s"$name: $runJobs + $readJobs Spark jobs in a run and its first read")
 
       ds.dirty.createOrReplaceTempView("input")
-      try {
+      val (_, scriptFallbacks) = try CodegenFallbacks.counting {
         val scripted = spark.sql(res.script)
         assert(res.cleaned.exceptAll(scripted).isEmpty, s"$name: rows of cleaned missing from the script's output")
         assert(scripted.exceptAll(res.cleaned).isEmpty, s"$name: rows of the script's output missing from cleaned")
       } finally spark.catalog.dropTempView("input")
+      assert(runFallbacks == 0 && scriptFallbacks == 0,
+        s"$name: whole-stage codegen fell back $runFallbacks times in the run and its scoring, $scriptFallbacks in the script")
       Oracle.assertEquivalent(res.cleaned, CleaningStep.renderScript(res.steps, res.columns, SqlGen.identAnsi), "input" -> ds.dirty)
     }
 

@@ -23,9 +23,22 @@ class CleaningStepSpec extends SparkSpec {
     assert(sql == "CASE WHEN `lang` = 'English' THEN 'eng' ELSE `lang` END")
   }
 
-  test("renderExpr FdRepair guards on both lhs and rhs") {
-    val sql = CleaningStep.renderExpr("city", FdRepair(Seq(FdCase("zip", "36000", "Boston", "Dothan", 1L))), SqlGen.ident)
-    assert(sql.contains("`zip` = '36000' AND `city` = 'Boston' THEN 'Dothan'"))
+  test("FdRepair picks the arm of the first lhs column that matches, on Spark and DuckDB") {
+    // Row 1 matches a `state` arm and a `zip` arm: `state` sorts first and
+    // wins. Rows 2 and 3 have a NULL lhs value, so only the other column's
+    // arms can match them. Row 4's lhs value and target hold a quote. Row 5
+    // matches an lhs value but none of its bad values.
+    val fdf = Seq[(Long, String, String, String)](
+      (1L, "z1", "AL", "Boston"), (2L, "z1", null, "Boston"), (3L, null, "AL", "O'Hare"),
+      (4L, "z'2", "NV", "Reno"), (5L, "z1", "NV", "Dothan"), (6L, null, null, null),
+    ).toDF("row_id", "zip", "state", "city")
+    val arms = Seq(
+      FdCase("state", "AL", "Boston", "Mobile", 1L), FdCase("state", "AL", "O'Hare", "Mobile", 1L),
+      FdCase("zip", "z'2", "Reno", "Coeur d'Alene", 1L), FdCase("zip", "z1", "Boston", "Dothan", 1L),
+    )
+    val out = assertPortable(fdf, CleaningStep("fd", Seq(ColumnRewrite("city", FdRepair(arms), "r"))))
+    val cities = out.select("row_id", "city").as[(Long, String)].collect().toMap
+    assert(cities == Map(1L -> "Mobile", 2L -> "Dothan", 3L -> "Mobile", 4L -> "Coeur d'Alene", 5L -> "Dothan", 6L -> null))
   }
 
   test("renderExpr FdRepair with no cases is the bare column") {

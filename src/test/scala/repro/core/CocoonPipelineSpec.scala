@@ -58,17 +58,30 @@ class CocoonPipelineSpec extends JobCounting {
     assert(res.cleaned.collect().toSet == df.collect().toSet)
   }
 
-  test("typo fix unlocks FD grouping (order matters end to end)") {
-    // provider 10001 has a typo'd id row and a corrupted city; a second
-    // provider keeps the FD lhs non-constant. Only after the typo fix does
-    // the 10001 group absorb its row and repair the city.
+  /** Provider 10001 has a typo'd id row and a corrupted city; a second
+    * provider keeps the FD lhs non-constant.
+    */
+  private lazy val providersDf = {
     val rows = (0 until 19).map(i => (i.toLong, "10001", if (i == 0) "WrongCity" else "Dothan")) ++
       Seq((19L, "1000x", "Dothan")) ++
       (20 until 30).map(i => (i.toLong, "20007", "Boston")) // ≥2 edits from "1000x": typo target stays unique
-    val df = rows.toDF("row_id", "provider_id", "city")
-    val res = CocoonPipeline.run(spark, df, llm)
+    rows.toDF("row_id", "provider_id", "city")
+  }
+
+  test("typo fix unlocks FD grouping (order matters end to end)") {
+    // Only after the typo fix does the 10001 group absorb its row and
+    // repair the city.
+    val res = CocoonPipeline.run(spark, providersDf, llm)
     assert(res.cleaned.filter("provider_id = '10001'").count() == 20)
     assert(res.cleaned.filter("city = 'WrongCity'").count() == 0)
+  }
+
+  test("a run persists nothing") {
+    val before = spark.sparkContext.getPersistentRDDs.keySet
+    val res = CocoonPipeline.run(spark, providersDf, llm)
+    assert(res.steps.map(_.issue) == Seq("string-outliers", "functional-deps"))
+    assert(spark.sparkContext.getPersistentRDDs.keySet == before)
+    assert(res.cleaned.count() == 30)
   }
 
   test("DMV cleaned before numeric outlier profiling") {
@@ -136,9 +149,10 @@ class CocoonPipelineSpec extends JobCounting {
     val cte = res.script.linesIterator.dropWhile(!_.contains("_uniqueness AS (")).toSeq
     assert(cte.lift(1).exists(_.startsWith("-- ")), res.script)
     assert(Sha256(res.script) == "4a42fbeccf23b0dd32625a910486116ab52759e8ba7759f15251567bd2367c1f", res.script)
-    // The profile and the duplicate count take 3 jobs each; the dedupe's
-    // window shuffle and its checkpoint 2 more; no profile is built after the
-    // last stage. Reading the checkpointed result takes 2.
-    assert(runJobs <= 8 && runJobs + readJobs <= 10, s"$runJobs + $readJobs Spark jobs")
+    // The run profiles its input in 2 jobs: the distinct key rules out
+    // duplicate rows, and no profile is built after the last stage. The
+    // dedupe runs in the first read, with the window's shuffle, the count's
+    // shuffle and its result: 3 jobs.
+    assert(runJobs <= 2 && runJobs + readJobs <= 5, s"$runJobs + $readJobs Spark jobs")
   }
 }
