@@ -23,6 +23,11 @@ class CleaningStepSpec extends SparkSpec {
     assert(sql == "CASE WHEN `lang` = 'English' THEN 'eng' ELSE `lang` END")
   }
 
+  test("renderExpr FdRepair guards on both lhs and rhs") {
+    val sql = CleaningStep.renderExpr("city", FdRepair(Seq(FdCase("zip", "36000", "Boston", "Dothan", 1L))), SqlGen.ident)
+    assert(sql == "COALESCE(CASE `zip` WHEN '36000' THEN CASE `city` WHEN 'Boston' THEN 'Dothan' END END, `city`)")
+  }
+
   test("FdRepair picks the arm of the first lhs column that matches, on Spark and DuckDB") {
     // Row 1 matches a `state` arm and a `zip` arm: `state` sorts first and
     // wins. Rows 2 and 3 have a NULL lhs value, so only the other column's
