@@ -1,8 +1,9 @@
 package repro.profile
 
-import org.apache.spark.sql.{DataFrame, functions => F}
+import org.apache.spark.sql.{Column, DataFrame, functions => F}
+import org.apache.spark.sql.catalyst.expressions.Cast
 import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.types.{ByteType, DataType, IntegerType, LongType, ShortType, StringType}
+import org.apache.spark.sql.types.{ByteType, DataType, DoubleType, IntegerType, LongType, ShortType, StringType, StructField}
 
 /** A value with its occurrence count, from a column's frequency profile. */
 final case class ValueCount(value: String, count: Long)
@@ -48,28 +49,37 @@ object TableProfile {
   /** Profile every column with one query over the melted table: group by
     * (column, value), then rank each column's values and aggregate its counts
     * in Spark, so only the top `maxValues` values per column reach the driver.
-    * The group-by's shuffle, with its map-side combine, is the only one: its
-    * output is coalesced into one partition, which every window reads.
+    * The melted rows are coalesced into one partition before the group-by,
+    * which the group-by and every window then read without an exchange: the
+    * query is one Spark job. A string column's numeric view is its value's
+    * `TRY_CAST` to double, taken once per distinct value after the group-by;
+    * any other column's is the typed `TRY_CAST` of each cell, NULL where
+    * Spark cannot cast the type to double (DATE, BINARY, nested types).
     */
   def of(df: DataFrame, maxValues: Int = MaxValues): TableProfile = {
     val cols = df.columns.toSeq
     if (cols.isEmpty) return TableProfile(df.count(), Map.empty, maxValues)
 
-    // Each value as text and as a number. try_cast: under Spark 4 ANSI
-    // semantics a plain cast on malformed strings throws instead of
-    // yielding NULL.
+    // Each value as text and, outside string columns, as a number.
+    // try_cast: under Spark 4 ANSI semantics a plain cast on malformed
+    // strings throws instead of yielding NULL.
+    val fields = df.schema.fields.toSeq
     val melted = df.select(
-      F.stack(F.lit(cols.size) +: cols.flatMap(c => Seq(F.lit(c), F.col(c).cast("string"), F.col(c).try_cast("double"))): _*)
-        .as(Seq("column", "value", "num"))
+      F.stack(F.lit(cols.size) +: fields.flatMap(f => Seq(F.lit(f.name), F.col(f.name).cast("string"), typedNumber(f))): _*)
+        .as(Seq("column", "value", "typed"))
     )
+    val textCols = fields.collect { case f if f.dataType.isInstanceOf[StringType] => f.name }
     val v = F.col("value"); val n = F.col("n"); val num = F.col("num")
     // One sort: the column aggregates span the whole ranked partition.
     val byRank = Window.partitionBy("column").orderBy(v.isNull, n.desc, v.asc)
     val byCol  = byRank.rowsBetween(Window.unboundedPreceding, Window.unboundedFollowing)
     val rows = melted
-      .groupBy("column", "value")
-      .agg(F.count(F.lit(1)).as("n"), F.max(num).as("num"))
       .coalesce(1)
+      .groupBy("column", "value")
+      .agg(
+        F.count(F.lit(1)).as("n"),
+        F.when(F.col("column").isin(textCols: _*), v.try_cast("double")).otherwise(F.max("typed")).as("num"),
+      )
       .select(
         F.col("column"), v, n,
         F.sum(n).over(byCol).as("rows"),
@@ -105,6 +115,14 @@ object TableProfile {
     }
     TableProfile(profiles.head._2.rowCount, profiles.toMap, maxValues)
   }
+
+  /** A non-string column's cells as doubles: NULL for a string column, whose
+    * values are cast once each after the group-by, and for a type Spark
+    * cannot cast to double.
+    */
+  private def typedNumber(f: StructField): Column =
+    if (f.dataType.isInstanceOf[StringType] || !Cast.canTryCast(f.dataType, DoubleType)) F.lit(null).cast("double")
+    else F.col(f.name).try_cast("double")
 }
 
 /** A scored single-attribute FD candidate lhs → rhs (§2.1.6, after Baran).
@@ -135,7 +153,8 @@ object Profiler {
 
   /** Number of fully duplicated rows beyond the first occurrence (§2.1.7).
     * It is 0, with no Spark job, when the profile shows a column whose values
-    * are pairwise distinct (at most one null); otherwise one `DISTINCT` count.
+    * are pairwise distinct (at most one null); otherwise one `DISTINCT` count
+    * over the table coalesced into one partition: one job, no exchange.
     */
   def duplicateRowCount(df: DataFrame, profile: TableProfile): Long = {
     val distinctColumn = df.schema.fields.exists { f =>
@@ -143,7 +162,7 @@ object Profiler {
         p.distinctCount + (if (p.nullCount > 0) 1 else 0) == p.rowCount
       }
     }
-    if (distinctColumn) 0L else profile.rowCount - df.distinct().count()
+    if (distinctColumn) 0L else profile.rowCount - df.coalesce(1).distinct().count()
   }
 
   /** Types whose profiled text is equal exactly when `DISTINCT` finds the
@@ -158,6 +177,8 @@ object Profiler {
     * (pair, lhs value, rhs value) counts — the single-attribute partition
     * refinement of TANE [Huhtala et al.] — keeping up to `maxGroups`
     * violating groups per pair. Returns one [[FdScore]] per pair, in order.
+    * The stacked rows are coalesced into one partition, so the group-by and
+    * the windows run as one Spark job with no exchange.
     */
   def scoreFds(df: DataFrame, pairs: Seq[(String, String)], maxGroups: Int): Seq[FdScore] = {
     if (pairs.isEmpty) return Seq.empty
@@ -172,9 +193,9 @@ object Profiler {
     val pairWin = Window.partitionBy("pair")
     val rows = stacked
       .filter(l.isNotNull && r.isNotNull)
+      .coalesce(1)
       .groupBy("pair", "l", "r")
       .agg(F.count(F.lit(1)).as("n"))
-      .coalesce(1) // the one shuffle is the group-by's; the windows read its output in one partition
       .select(
         F.col("pair"), l, r, n,
         F.sum(n).over(group).as("sz"),

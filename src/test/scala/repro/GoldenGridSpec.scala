@@ -18,20 +18,20 @@ import repro.util.SqlGen
   *
   * The same runs bound the Spark jobs one pipeline run starts. Job count does
   * not depend on the hardware: a run profiles its input once, carries the
-  * profile through value maps on the driver, scores FDs in one query, gives
-  * each of these queries one shuffle, reads the absence of duplicate rows
-  * off the profile and chains the steps into one plan, so it takes 4 jobs,
-  * where profiling each column in each stage took hundreds. Hospital takes
-  * 6: its FD arms overlap, so the table is profiled again after the FD step.
-  * The first read of the cleaned table runs that plan in 3 more, so the
-  * bound on the run and its read catches work moved into the reader. Every
-  * run, its scoring and its script compile under whole-stage codegen: a
-  * fallback to interpreted execution fails the test.
+  * profile through value maps on the driver, scores FDs in one query, runs
+  * each of these queries as one job with no exchange, reads the absence of
+  * duplicate rows off the profile and chains the steps into one plan, so it
+  * takes 2 jobs, where profiling each column in each stage took hundreds.
+  * Hospital takes 3: its FD arms overlap, so the table is profiled again
+  * after the FD step. The first read of the cleaned table runs that plan in
+  * 3 more, so the bound on the run and its read catches work moved into the
+  * reader. Every run, its scoring and its script compile under whole-stage
+  * codegen: a fallback to interpreted execution fails the test.
   */
 class GoldenGridSpec extends JobCounting {
 
-  private val MaxJobsPerRun        = 6
-  private val MaxJobsPerRunAndRead = 9
+  private val MaxJobsPerRun        = 3
+  private val MaxJobsPerRunAndRead = 6
 
   /** (changedCells, correctChanges, errorCells) under the Table-1 rules
     * (column-type and DMV cells excluded), then under the Table-3 rules

@@ -1,5 +1,7 @@
 package repro.core
 
+import java.sql.Date
+
 import repro.{JobCounting, Sha256}
 import repro.llm.SimulatedLLM
 
@@ -149,10 +151,21 @@ class CocoonPipelineSpec extends JobCounting {
     val cte = res.script.linesIterator.dropWhile(!_.contains("_uniqueness AS (")).toSeq
     assert(cte.lift(1).exists(_.startsWith("-- ")), res.script)
     assert(Sha256(res.script) == "4a42fbeccf23b0dd32625a910486116ab52759e8ba7759f15251567bd2367c1f", res.script)
-    // The run profiles its input in 2 jobs: the distinct key rules out
+    // The run profiles its input in 1 job: the distinct key rules out
     // duplicate rows, and no profile is built after the last stage. The
     // dedupe runs in the first read, with the window's shuffle, the count's
     // shuffle and its result: 3 jobs.
-    assert(runJobs <= 2 && runJobs + readJobs <= 5, s"$runJobs + $readJobs Spark jobs")
+    assert(runJobs <= 1 && runJobs + readJobs <= 4, s"$runJobs + $readJobs Spark jobs")
+  }
+
+  test("a run over a table with a DATE column leaves that column unchanged") {
+    // The typo'd city gives the run a step to apply; a DATE value has no
+    // numeric view.
+    val rows = (0 until 20).map(i => (i.toLong, if (i == 0) "Birmxngham" else "Birmingham", Date.valueOf(s"2020-01-${10 + i}")))
+    val df = rows.toDF("row_id", "city", "day")
+    val res = CocoonPipeline.run(spark, df, llm)
+    assert(res.cleaned.filter("city = 'Birmxngham'").isEmpty)
+    val (out, in) = (res.cleaned.select("row_id", "day"), df.select("row_id", "day"))
+    assert(out.exceptAll(in).isEmpty && in.exceptAll(out).isEmpty)
   }
 }

@@ -1,5 +1,7 @@
 package repro.profile
 
+import java.sql.Date
+
 import org.apache.spark.sql.DataFrame
 import repro.JobCounting
 
@@ -59,8 +61,29 @@ class ProfilerSpec extends JobCounting {
     assert(profile.columns.keySet == Set("k", "v", "w"))
   }
 
+  /** The Spark jobs `body` starts and the shuffle exchanges its queries plan. */
+  private def jobsAndExchanges(body: => Any): (Long, Long) = {
+    val ((_, jobs), exchanges) = countingExchanges(countingJobs(body))
+    (jobs, exchanges)
+  }
+
+  // The name predates the query's one-job form; it is kept as the test's id.
   test("the profile query starts two jobs: one shuffle and the result") {
-    assert(countingJobs(TableProfile.of(df))._2 == 2)
+    assert(jobsAndExchanges(TableProfile.of(df)) == (1L, 0L))
+  }
+
+  test("a DATE or BINARY column profiles with no numeric view") {
+    val d = Seq(
+      (Date.valueOf("2020-01-02"), Array[Byte](49), "1"),
+      (Date.valueOf("2020-01-02"), Array[Byte](50), "x"),
+      (null, null, "2"),
+    ).toDF("day", "bytes", "s")
+    val p = TableProfile.of(d)
+    assert(p("day") == ColumnProfile("day", 3, 1, 1, Seq(ValueCount("2020-01-02", 2)), None, None, 0.0))
+    // Bytes "1" and "2" print as text that parses, but the column is binary.
+    assert(p("bytes") == ColumnProfile("bytes", 3, 1, 2, Seq(ValueCount("1", 1), ValueCount("2", 1)), None, None, 0.0))
+    assert(p("s").minNumeric.contains(1.0) && p("s").maxNumeric.contains(2.0))
+    for (c <- d.columns) assert(p(c) == ReferenceProfiler.profileColumn(d, c, TableProfile.MaxValues), c)
   }
 
   test("an all-null column and an empty table profile to zero counts") {
@@ -103,6 +126,13 @@ class ProfilerSpec extends JobCounting {
     assert(duplicates(noneDistinct)._1 == 1)
   }
 
+  test("duplicateRowCount's DISTINCT count starts one job") {
+    val d = spark.createDataFrame(spark.sparkContext.parallelize(Seq(("a", 1), ("a", 1), ("b", 1), ("b", 2)), 4)).toDF("x", "y")
+    val p = TableProfile.of(d)
+    assert(jobsAndExchanges(Profiler.duplicateRowCount(d, p)) == (1L, 0L))
+    assert(Profiler.duplicateRowCount(d, p) == 1)
+  }
+
   test("scoreFd gives 1.0 on an exact FD") {
     val d = Seq(("a", "1"), ("a", "1"), ("b", "2")).toDF("l", "r")
     val fd = scoreFd(d)
@@ -124,9 +154,11 @@ class ProfilerSpec extends JobCounting {
     assert(math.abs(fds.head.strength - 2.0 / 3) < 1e-9 && fds(1).strength == 1.0)
   }
 
+  // The name predates the query's one-job form; it is kept as the test's id.
   test("scoreFds over several pairs starts two jobs: one shuffle and the result") {
     val d = Seq(("a", "1", "x"), ("a", "2", "x"), ("b", "3", "y")).toDF("l", "r", "s")
-    assert(countingJobs(Profiler.scoreFds(d, Seq("l" -> "r", "l" -> "s", "s" -> "l", "r" -> "s"), 10))._2 == 2)
+    val pairs = Seq("l" -> "r", "l" -> "s", "s" -> "l", "r" -> "s")
+    assert(jobsAndExchanges(Profiler.scoreFds(d, pairs, 10)) == (1L, 0L))
   }
 
   test("scoreFds on a pair with no non-null rows scores zero") {

@@ -1,6 +1,8 @@
 package repro.profile
 
 import org.apache.spark.sql.{DataFrame, functions => F}
+import org.apache.spark.sql.catalyst.expressions.Cast
+import org.apache.spark.sql.types.DoubleType
 
 /** The per-column and per-pair queries that [[TableProfile]] and
   * [[Profiler.scoreFds]] replace, kept as the reference they must agree with.
@@ -8,15 +10,18 @@ import org.apache.spark.sql.{DataFrame, functions => F}
   */
 object ReferenceProfiler {
 
-  /** One column's profile, with its `maxValues` most frequent values. */
+  /** One column's profile, with its `maxValues` most frequent values: each
+    * cell cast to double, NULL where Spark cannot cast the column's type, and
+    * distinct values counted by their text, as they are listed.
+    */
   def profileColumn(df: DataFrame, col: String, maxValues: Int): ColumnProfile = {
     val c = F.col(col)
-    val num = c.try_cast("double")
+    val num = if (Cast.canTryCast(df.schema(col).dataType, DoubleType)) c.try_cast("double") else F.lit(null).cast("double")
     val agg = df
       .agg(
         F.count(F.lit(1)).as("rows"),
         F.sum(F.when(c.isNull, 1L).otherwise(0L)).as("nulls"),
-        F.countDistinct(c).as("distinct"),
+        F.countDistinct(c.cast("string")).as("distinct"),
         F.min(num).as("minn"),
         F.max(num).as("maxn"),
         F.sum(F.when(c.isNotNull && num.isNotNull, 1L).otherwise(0L)).as("numOk"),

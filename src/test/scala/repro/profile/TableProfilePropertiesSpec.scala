@@ -1,15 +1,22 @@
 package repro.profile
 
+import java.sql.{Date, Timestamp}
+
 import org.apache.spark.sql.Row
-import org.apache.spark.sql.types.{IntegerType, LongType, StringType, StructField, StructType}
+import org.apache.spark.sql.types.{
+  BooleanType, DateType, DecimalType, DoubleType, FloatType, IntegerType, LongType, StringType, StructField, StructType,
+  TimestampType,
+}
 import org.scalacheck.Gen
 import repro.{Seeded, SparkSpec}
 
 /** The one-pass [[TableProfile]] and [[Profiler.scoreFds]] agree exactly with
   * the per-column and per-pair queries they replace ([[ReferenceProfiler]]),
   * on small random tables with nulls, numeric and non-numeric strings,
-  * quoted values, tied counts, an all-null column, non-string columns and a
-  * unique key.
+  * quoted values, tied counts, an all-null column, a unique key and typed
+  * columns: integer, double (NaN, both zeros, both infinities), float,
+  * boolean, decimal, date and timestamp. The profile casts a string column
+  * once per distinct value and the reference once per cell.
   */
 class TableProfilePropertiesSpec extends SparkSpec {
 
@@ -19,17 +26,41 @@ class TableProfilePropertiesSpec extends SparkSpec {
     StructField("mixed", StringType),
     StructField("empty", StringType),
     StructField("qty", IntegerType),
+    StructField("dbl", DoubleType),
+    StructField("flt", FloatType),
+    StructField("flag", BooleanType),
+    StructField("dec", DecimalType(10, 2)),
+    StructField("day", DateType),
+    StructField("ts", TimestampType),
   ))
 
   // Small pools, so counts tie often.
   private val word  = Gen.oneOf[String](null, "a", "b", "it's", "O'Brien", "", "B", "ab")
   private val mixed = Gen.oneOf[String](null, "1", "2.5", "-3", "1e2", "x1", "12 oz", "'7'", "2.5")
   private val int   = Gen.oneOf[Integer](null, 0, 1, 7, -2)
+  private val dbl = Gen.oneOf[java.lang.Double](
+    null, Double.NaN, -0.0, 0.0, Double.PositiveInfinity, Double.NegativeInfinity, 2.5, -1e300)
+  private val flt  = Gen.oneOf[java.lang.Float](null, 0.1f, -0.0f, 3.0f, Float.NaN)
+  private val flag = Gen.oneOf[java.lang.Boolean](null, true, false)
+  private val dec  = Gen.oneOf[java.math.BigDecimal](null, new java.math.BigDecimal("1.50"), new java.math.BigDecimal("-0.25"),
+    new java.math.BigDecimal("12345678.99"))
+  private val day = Gen.oneOf[Date](null, Date.valueOf("2020-01-02"), Date.valueOf("1969-12-31"))
+  private val ts  = Gen.oneOf[Timestamp](null, Timestamp.valueOf("2020-01-02 03:04:05.123"), Timestamp.valueOf("1970-01-01 00:00:00"))
+
+  private val row: Gen[Long => Row] = for {
+    w <- word; m <- mixed; i <- int; d <- dbl; f <- flt; b <- flag; c <- dec; dy <- day; t <- ts
+  } yield (k: Long) => Row(k, w, m, null, i, d, f, b, c, dy, t)
 
   private val table: Gen[Seq[Row]] = for {
     n    <- Gen.chooseNum(0, 30)
-    rows <- Gen.listOfN(n, Gen.zip(word, mixed, int))
-  } yield rows.zipWithIndex.map { case ((w, m, i), k) => Row(k.toLong, w, m, null, i) }
+    rows <- Gen.listOfN(n, row)
+  } yield rows.zipWithIndex.map { case (r, k) => r(k.toLong) }
+
+  /** `p` with its numeric min and max as text, so that NaN equals NaN; -0.0
+    * reads as 0.0, since Spark's `min` and `max` may return either zero.
+    */
+  private def comparable(p: ColumnProfile) =
+    (p.copy(minNumeric = None, maxNumeric = None), Seq(p.minNumeric, p.maxNumeric).map(_.map(d => if (d == 0.0) "0.0" else d.toString)))
 
   test("TableProfile equals the per-column profile queries") {
     Seeded.forAll(Gen.zip(table, Gen.oneOf(1, 2, 3, 1000)), n = 25) { case (rows, cap) =>
@@ -38,7 +69,7 @@ class TableProfilePropertiesSpec extends SparkSpec {
       assert(profile.columns.keySet == schema.fieldNames.toSet)
       assert(profile.rowCount == rows.size)
       for (c <- schema.fieldNames)
-        assert(profile(c) == ReferenceProfiler.profileColumn(df, c, cap), s"column $c of $rows")
+        assert(comparable(profile(c)) == comparable(ReferenceProfiler.profileColumn(df, c, cap)), s"column $c of $rows")
     }
   }
 
