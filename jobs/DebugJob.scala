@@ -30,17 +30,11 @@ object DebugJob {
       }
     }
     // Wrong changes by column (on the Table-1 considered cells).
-    val d = Metrics.melt(ds.dirty, ds.keyCol, ds.dataColumns).withColumnRenamed("value", "dv")
-    val c = Metrics.melt(ds.clean, ds.keyCol, ds.dataColumns).withColumnRenamed("value", "cv")
-    val o = Metrics.melt(res.cleaned, ds.keyCol, ds.dataColumns).withColumnRenamed("value", "ov")
-    val j = d.join(c, Seq("row_id", "column")).join(o, Seq("row_id", "column"))
-      .join(ds.labels, Seq("row_id", "column"), "left")
-      .filter(col("error_type").isNull || !col("error_type").isin("coltype", "dmv"))
-      .filter(!(col("ov") <=> col("dv")) && !(col("ov") <=> col("cv")))
-    j.groupBy("column", "error_type").agg(count(lit(1)).as("wrong"))
+    val wrong = Metrics.cells(ds, res.cleaned, Metrics.table1Excluded).filter(Metrics.changed && !Metrics.correct)
+    wrong.groupBy("column", "error_type").agg(count(lit(1)).as("wrong"))
       .orderBy(desc("wrong")).collect()
       .foreach(r => println(s"[debug] wrong col=${r.get(0)} label=${r.get(1)} n=${r.get(2)}"))
-    j.select("column", "dv", "cv", "ov").limit(12).collect()
+    wrong.select("column", "dirty_v", "clean_v", "out_v").limit(12).collect()
       .foreach(r => println(s"[debug] ex col=${r.get(0)} dirty=${r.get(1)} clean=${r.get(2)} out=${r.get(3)}"))
     spark.stop()
   }

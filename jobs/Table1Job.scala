@@ -1,7 +1,7 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import repro.eval.{Harness, Metrics}
+import repro.eval.Harness
 
 /** Reproduces Table 1: P/R/F1 of all five systems on all five benchmarks,
   * under the paper's Table-1 rules (column-type and DMV cells excluded).
@@ -15,20 +15,13 @@ object Table1Job {
       .appName("cocoon-table1")
       .config("spark.sql.shuffle.partitions", "16")
       .getOrCreate()
-    val datasets = Harness.table1Datasets.filter(d => args.lift(0).forall(d.contains))
-    val systems  = Harness.allSystems().filter(s => args.lift(1).forall(s.name.toLowerCase.contains))
-    val scores = for {
-      dName <- datasets
-      ds = Harness.dataset(spark, dName)
-      sys <- systems
-    } yield {
-      val s = Harness.evaluate(spark, ds, sys, Metrics.table1Excluded)
-      println("[table1] " + s.row)
-      s
-    }
+    val table   = Harness.table1.copy(datasets = Harness.table1.datasets.filter(d => args.lift(0).forall(d.contains)))
+    val systems = Harness.allSystems().filter(s => args.lift(1).forall(s.name.toLowerCase.contains))
+    val Seq(scores) = Harness.grid(spark, Seq(table), systems)
+    scores.foreach(s => println("[table1] " + s.row))
     println()
     println("Table 1: data cleaning performance (coltype/DMV excluded)")
-    println(Harness.formatTable(scores, datasets))
+    println(Harness.formatTable(scores, table.datasets))
     spark.stop()
   }
 }

@@ -1,7 +1,6 @@
 package repro.jobs
 
 import org.apache.spark.sql.SparkSession
-import org.apache.spark.sql.functions._
 import repro.eval.Harness
 
 /** Reproduces Table 2: distribution of error types across the Hospital and
@@ -19,8 +18,7 @@ object Table2Job {
       val ds = Harness.dataset(spark, name)
       val rows = ds.dirty.count()
       val cols = ds.dataColumns.size + 1
-      val counts = ds.labels.groupBy("error_type").agg(count(lit(1)).as("n"))
-        .collect().map(r => r.getString(0) -> r.getLong(1)).toMap
+      val counts = ds.errorTypeCounts
       val line = Seq("typo", "fd", "coltype", "inconsistency", "dmv", "misplacement")
         .map(t => s"$t=${counts.getOrElse(t, 0L)}").mkString(" ")
       println(f"[table2] $name%-9s size=${rows}x$cols $line")

@@ -13,18 +13,11 @@ object Table3Job {
       .appName("cocoon-table3")
       .config("spark.sql.shuffle.partitions", "16")
       .getOrCreate()
-    val scores = for {
-      dName <- Harness.table3Datasets
-      ds = Harness.dataset(spark, dName)
-      sys <- Harness.allSystems()
-    } yield {
-      val s = Harness.evaluate(spark, ds, sys, Set.empty)
-      println("[table3] " + s.row)
-      s
-    }
+    val Seq(scores) = Harness.grid(spark, Seq(Harness.table3))
+    scores.foreach(s => println("[table3] " + s.row))
     println()
     println("Table 3: performance with column-type and DMV errors included")
-    println(Harness.formatTable(scores, Harness.table3Datasets))
+    println(Harness.formatTable(scores, Harness.table3.datasets))
     spark.stop()
   }
 }

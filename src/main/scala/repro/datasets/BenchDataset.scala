@@ -20,7 +20,12 @@ final case class BenchDataset(
     dataColumns: Seq[String],
     fdConstraints: Seq[(String, String)],
     keyCol: String = "row_id",
-)
+) {
+
+  /** Labelled cells per error type (the paper's Table 2). */
+  def errorTypeCounts: Map[String, Long] =
+    labels.groupBy("error_type").count().collect().map(r => r.getString(0) -> r.getLong(1)).toMap
+}
 
 object BenchDataset {
 
@@ -60,8 +65,6 @@ object BenchDataset {
       }
       differs
     }
-
-    def labelCount(errType: String): Int = labels.count(_._3 == errType)
 
     def build(spark: SparkSession, name: String, fds: Seq[(String, String)]): BenchDataset = {
       val schema = StructType(

@@ -79,7 +79,7 @@ object ErrorInjector {
     rnd.shuffle((0 until n).toList).take(k)
 
   /** Clock time rendered the Flights way: "10:30 p.m.". */
-  def renderTime(minutesOfDay: Int, rnd: Random = null): String = {
+  def renderTime(minutesOfDay: Int): String = {
     val m  = ((minutesOfDay % 1440) + 1440) % 1440
     val h24 = m / 60; val mm = m % 60
     val ap  = if (h24 < 12) "a.m." else "p.m."

@@ -15,6 +15,11 @@ final class CocoonSystem extends CleaningSystem {
       .cleaned
 }
 
+/** One of the paper's result tables: the benchmarks it covers and the error
+  * types its rules leave out of every count.
+  */
+final case class ResultTable(datasets: Seq[String], excludeTypes: Set[String])
+
 /** Runs system × dataset grids and produces the paper's tables. */
 object Harness {
 
@@ -35,19 +40,28 @@ object Harness {
     case other      => throw new IllegalArgumentException(s"unknown benchmark: $other")
   }
 
-  val table1Datasets: Seq[String] = Seq("hospital", "flights", "beers", "rayyan", "movies")
-  val table3Datasets: Seq[String] = Seq("hospital", "movies")
+  /** Table 1: all five benchmarks, column-type and DMV cells excluded. */
+  val table1: ResultTable = ResultTable(Seq("hospital", "flights", "beers", "rayyan", "movies"), Metrics.table1Excluded)
 
-  /** Evaluate one system on one dataset under the given exclusion rules. */
-  def evaluate(
-      spark: SparkSession,
-      ds: BenchDataset,
-      system: CleaningSystem,
-      excludeTypes: Set[String],
-  ): Scores = {
-    val out = system.clean(spark, ds).cache()
-    try Metrics.score(ds, system.name, out, excludeTypes)
-    finally out.unpersist()
+  /** Table 3 (Appendix B): Hospital and Movies with every error counted. */
+  val table3: ResultTable = ResultTable(Seq("hospital", "movies"), Set.empty)
+
+  /** The scores of `systems` on each table, one sequence per table in the
+    * order given, dataset by dataset and system by system within one. Each
+    * (system, dataset) pair is cleaned once; its output stays cached while
+    * every table that covers the dataset scores it under its rules.
+    */
+  def grid(spark: SparkSession, tables: Seq[ResultTable], systems: Seq[CleaningSystem] = allSystems()): Seq[Seq[Scores]] = {
+    val scored = for {
+      name   <- tables.flatMap(_.datasets).distinct
+      ds      = dataset(spark, name)
+      system <- systems
+    } yield {
+      val out = system.clean(spark, ds).cache()
+      try tables.map(t => Option.when(t.datasets.contains(name))(Metrics.score(ds, system.name, out, t.excludeTypes)))
+      finally out.unpersist()
+    }
+    tables.indices.map(i => scored.flatMap(_(i)))
   }
 
   /** Format a Table-1-style block: systems × datasets, P/R/F columns. */

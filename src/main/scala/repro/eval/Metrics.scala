@@ -1,6 +1,6 @@
 package repro.eval
 
-import org.apache.spark.sql.{DataFrame, functions => F}
+import org.apache.spark.sql.{Column, DataFrame, functions => F}
 import repro.datasets.BenchDataset
 
 /** Cell-repair scores for one (system, dataset) pair. */
@@ -41,12 +41,17 @@ object Metrics {
     )
   }
 
-  def score(
-      ds: BenchDataset,
-      systemName: String,
-      output: DataFrame,
-      excludeTypes: Set[String],
-  ): Scores = {
+  /** Whether a cell of [[cells]] was changed by the system, and whether its
+    * output is the clean value.
+    */
+  val changed: Column = !(F.col("out_v") <=> F.col("dirty_v"))
+  val correct: Column = F.col("out_v") <=> F.col("clean_v")
+
+  /** The cells [[score]] counts: (row_id, column, dirty_v, clean_v, out_v,
+    * error_type), one row per data cell, without the cells whose label is in
+    * `excludeTypes`. `error_type` is null on a cell with no error.
+    */
+  def cells(ds: BenchDataset, output: DataFrame, excludeTypes: Set[String]): DataFrame = {
     val d = melt(ds.dirty, ds.keyCol, ds.dataColumns).withColumnRenamed("value", "dirty_v")
     val c = melt(ds.clean, ds.keyCol, ds.dataColumns).withColumnRenamed("value", "clean_v")
     val o = melt(output, ds.keyCol, ds.dataColumns).withColumnRenamed("value", "out_v")
@@ -54,16 +59,18 @@ object Metrics {
       .join(c, Seq("row_id", "column"))
       .join(o, Seq("row_id", "column"))
       .join(ds.labels, Seq("row_id", "column"), "left")
+    if (excludeTypes.isEmpty) joined
+    else joined.filter(F.col("error_type").isNull || !F.col("error_type").isin(excludeTypes.toSeq: _*))
+  }
 
-    val considered =
-      if (excludeTypes.isEmpty) joined
-      else joined.filter(F.col("error_type").isNull || !F.col("error_type").isin(excludeTypes.toSeq: _*))
-
-    val changed = !(F.col("out_v") <=> F.col("dirty_v"))
-    val correct = F.col("out_v") <=> F.col("clean_v")
+  def score(
+      ds: BenchDataset,
+      systemName: String,
+      output: DataFrame,
+      excludeTypes: Set[String],
+  ): Scores = {
     val isError = F.col("error_type").isNotNull
-
-    val agg = considered
+    val agg = cells(ds, output, excludeTypes)
       .agg(
         F.sum(F.when(changed, 1L).otherwise(0L)).as("changed"),
         F.sum(F.when(changed && correct, 1L).otherwise(0L)).as("correctChanged"),

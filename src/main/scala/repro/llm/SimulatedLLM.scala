@@ -74,12 +74,14 @@ trait LLMClient {
   *   - FD meaningfulness via column-name semantics, group resolution via a
   *     confidence threshold on the majority share (the paper's Flights
   *     discussion: ambiguous groups are left alone).
-  *
-  * @param fdMajorityThreshold minimum share of the most frequent rhs value in
-  *        a violating group for the LLM to commit to a repair; below it the
-  *        group is reported ambiguous (drives Flights' high-P/low-R).
   */
-final class SimulatedLLM(val fdMajorityThreshold: Double = 0.65) extends LLMClient {
+final class SimulatedLLM extends LLMClient {
+
+  /** Minimum share of the most frequent rhs value in a violating group for
+    * the LLM to commit to a repair; below it the group is reported ambiguous
+    * (drives Flights' high-P/low-R).
+    */
+  private val FdMajorityThreshold = 0.65
 
   /** Minimum frequency ratio between a canonical value and a variant for the
     * variant to be judged a typo of it.
@@ -252,7 +254,7 @@ final class SimulatedLLM(val fdMajorityThreshold: Double = 0.65) extends LLMClie
     if (total < 4) None
     else {
       val top = rhsValues.maxBy(v => (v.count, v.value))
-      if (top.count.toDouble / total >= fdMajorityThreshold) Some(top.value) else None
+      if (top.count.toDouble / total >= FdMajorityThreshold) Some(top.value) else None
     }
   }
 

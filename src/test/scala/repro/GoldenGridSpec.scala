@@ -1,7 +1,7 @@
 package repro
 
 import org.apache.spark.sql.DataFrame
-import repro.baselines.{HoloCleanLite, RahaBaranLite}
+import repro.bench.PaperGrid
 import repro.core.{CleaningStep, CocoonConfig, CocoonPipeline}
 import repro.datasets.BenchDataset
 import repro.eval.{Harness, Metrics}
@@ -9,7 +9,8 @@ import repro.llm.SimulatedLLM
 import repro.util.SqlGen
 
 /** Cocoon's behaviour contract: the exact cell counts it produces on each of
-  * the five benchmarks at their default seeds, and the SHA-256 of the SQL
+  * the five benchmarks at their default seeds (pinned in [[PaperGrid]] with
+  * the other systems' counts), and the SHA-256 of the SQL
   * script it emits (§2.2). Everything is seeded and deterministic, so these
   * are integers and hashes, not tolerances; a refactor that moves one of them
   * changes what Cocoon does. Spark runs each emitted script over the input,
@@ -33,17 +34,9 @@ class GoldenGridSpec extends JobCounting {
   private val MaxJobsPerRun        = 3
   private val MaxJobsPerRunAndRead = 6
 
-  /** (changedCells, correctChanges, errorCells) under the Table-1 rules
-    * (column-type and DMV cells excluded), then under the Table-3 rules
-    * (nothing excluded).
-    */
-  private val pinned = Seq(
-    "hospital" -> ((475L, 472L, 524L), (3702L, 3699L, 3751L)),
-    "flights"  -> ((488L, 393L, 1202L), (488L, 393L, 1202L)),
-    "beers"    -> ((700L, 700L, 700L), (880L, 880L, 880L)),
-    "rayyan"   -> ((800L, 800L, 880L), (900L, 900L, 980L)),
-    "movies"   -> ((1206L, 1105L, 1122L), (16117L, 16016L, 16033L)),
-  )
+  /** Cocoon's pinned counts under the Table-1 and the Table-3 rules. */
+  private val pinnedTable1 = PaperGrid.pinnedTable1.toMap
+  private val pinnedTable3 = PaperGrid.pinnedTable3.toMap
 
   /** SHA-256 of `CocoonResult.script` per benchmark. */
   private val pinnedScripts = Map(
@@ -71,7 +64,7 @@ class GoldenGridSpec extends JobCounting {
     } finally out.unpersist()
   }
 
-  for ((name, (table1, table3)) <- pinned)
+  for (name <- Harness.table1.datasets)
     test(s"Cocoon's cell counts on $name are pinned under the Table-1 and Table-3 rules") {
       val ds = Harness.dataset(spark, name)
       val ((t1, t3, res, (runJobs, readJobs)), runFallbacks) = CodegenFallbacks.counting {
@@ -81,8 +74,8 @@ class GoldenGridSpec extends JobCounting {
         }
       }
       info(s"$runJobs Spark jobs in the run, $readJobs in the first read")
-      assert(t1 == table1)
-      assert(t3 == table3)
+      assert(t1 == pinnedTable1(("Cocoon", name)))
+      assert(t3 == pinnedTable3(("Cocoon", name)))
       assert(Sha256(res.script) == pinnedScripts(name), s"$name: the emitted script changed")
       assert(runJobs <= MaxJobsPerRun, s"$name: $runJobs Spark jobs in one run")
       assert(runJobs + readJobs <= MaxJobsPerRunAndRead, s"$name: $runJobs + $readJobs Spark jobs in a run and its first read")
@@ -96,21 +89,5 @@ class GoldenGridSpec extends JobCounting {
       assert(runFallbacks == 0 && scriptFallbacks == 0,
         s"$name: whole-stage codegen fell back $runFallbacks times in the run and its scoring, $scriptFallbacks in the script")
       Oracle.assertEquivalent(res.cleaned, CleaningStep.renderScript(res.steps, res.columns, SqlGen.identAnsi), "input" -> ds.dirty)
-    }
-
-  /** The baselines share the driver-side [[repro.eval.LocalTable]] code; Flights
-    * has no column-type or DMV cells, so both rules give the same counts.
-    */
-  private val pinnedBaselines = Seq(
-    new RahaBaranLite() -> (1116L, 1064L, 1202L),
-    new HoloCleanLite() -> (602L, 557L, 1202L),
-  )
-
-  for ((system, cells) <- pinnedBaselines)
-    test(s"${system.name}'s cell counts on flights are pinned") {
-      val ds = Harness.dataset(spark, "flights")
-      val (t1, t3, _, _) = cellCounts(system.name, ds)((system.clean(spark, ds), ()))
-      assert(t1 == cells)
-      assert(t3 == cells)
     }
 }

@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.eval.{Harness, Metrics, Scores}
+import repro.eval.{Harness, Scores}
 
 /** Reproduces Table 1 and asserts its qualitative shape:
   *   - Cocoon has the best F1 on Hospital, Beers, Rayyan, Movies;
@@ -9,34 +9,26 @@ import repro.eval.{Harness, Metrics, Scores}
   *     low-recall (the paper's benchmark-ambiguity discussion);
   *   - HoloClean ≈ 0 on Beers and Movies; CleanAgent ≈ 0 everywhere;
   *   - RetClean is only nonzero on Rayyan.
-  *
+  * The cell counts of all 25 (system, dataset) pairs are pinned.
   * Paper-vs-measured numbers land in EXPERIMENTS.md.
   */
 class Table1Bench extends SparkSpec {
 
-  private lazy val scores: Seq[Scores] = {
-    val rows = for {
-      dName <- Harness.table1Datasets
-      ds = Harness.dataset(spark, dName)
-      sys <- Harness.allSystems()
-    } yield {
-      val s = Harness.evaluate(spark, ds, sys, Metrics.table1Excluded)
-      info(s.row)
-      s
-    }
-    println("\n=== Table 1 (reproduced): P/R/F1, coltype & DMV excluded ===")
-    println(Harness.formatTable(rows, Harness.table1Datasets))
-    rows
-  }
+  private def scores: Seq[Scores] = PaperGrid.table1
 
-  private def f1(system: String, dataset: String): Double =
-    scores.find(s => s.system == system && s.dataset == dataset).get.f1
   private def get(system: String, dataset: String): Scores =
     scores.find(s => s.system == system && s.dataset == dataset).get
+  private def f1(system: String, dataset: String): Double = get(system, dataset).f1
 
   test("the grid is complete: 5 systems × 5 datasets") {
+    scores.foreach(s => info(s.row))
     assert(scores.size == 25)
   }
+
+  for (((system, dataset), cells) <- PaperGrid.pinnedTable1)
+    test(s"$system's cell counts on $dataset are pinned") {
+      assert(PaperGrid.cells(get(system, dataset)) == cells)
+    }
 
   test("Cocoon wins on 4 of 5 benchmarks (all but Flights)") {
     for (d <- Seq("hospital", "beers", "rayyan", "movies")) {
@@ -70,7 +62,7 @@ class Table1Bench extends SparkSpec {
   }
 
   test("CleanAgent scores zero on every benchmark") {
-    for (d <- Harness.table1Datasets) assert(f1("CleanAgent", d) == 0.0, d)
+    for (d <- Harness.table1.datasets) assert(f1("CleanAgent", d) == 0.0, d)
   }
 
   test("RetClean performs only on Rayyan") {

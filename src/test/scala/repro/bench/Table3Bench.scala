@@ -10,30 +10,25 @@ import repro.eval.{Harness, Scores}
   *     but well behind on Movies (duration arithmetic defeats its rules);
   *   - HoloClean recall collapses (constraints say nothing about casts);
   *   - CleanAgent and RetClean stay at zero.
+  * The cell counts of all 10 (system, dataset) pairs are pinned. The grid
+  * shares its Hospital and Movies runs with Table 1's.
   */
 class Table3Bench extends SparkSpec {
 
-  private lazy val scores: Seq[Scores] = {
-    val rows = for {
-      dName <- Harness.table3Datasets
-      ds = Harness.dataset(spark, dName)
-      sys <- Harness.allSystems()
-    } yield {
-      val s = Harness.evaluate(spark, ds, sys, Set.empty)
-      info(s.row)
-      s
-    }
-    println("\n=== Table 3 (reproduced): P/R/F1 with coltype & DMV included ===")
-    println(Harness.formatTable(rows, Harness.table3Datasets))
-    rows
-  }
+  private def scores: Seq[Scores] = PaperGrid.table3
 
   private def get(system: String, dataset: String): Scores =
     scores.find(s => s.system == system && s.dataset == dataset).get
 
   test("the grid is complete: 5 systems × 2 datasets") {
+    scores.foreach(s => info(s.row))
     assert(scores.size == 10)
   }
+
+  for (((system, dataset), cells) <- PaperGrid.pinnedTable3 if Harness.table3.datasets.contains(dataset))
+    test(s"$system's cell counts on $dataset are pinned") {
+      assert(PaperGrid.cells(get(system, dataset)) == cells)
+    }
 
   test("Cocoon exceeds 0.9 F1 on both benchmarks (paper: 0.99, 0.93)") {
     assert(get("Cocoon", "hospital").f1 > 0.9, get("Cocoon", "hospital").row)
@@ -41,7 +36,7 @@ class Table3Bench extends SparkSpec {
   }
 
   test("Cocoon outperforms every baseline on both datasets") {
-    for (d <- Harness.table3Datasets; s <- scores if s.dataset == d && s.system != "Cocoon")
+    for (d <- Harness.table3.datasets; s <- scores if s.dataset == d && s.system != "Cocoon")
       assert(get("Cocoon", d).f1 >= s.f1, s.row)
   }
 
@@ -60,7 +55,7 @@ class Table3Bench extends SparkSpec {
   }
 
   test("CleanAgent and RetClean remain at ~zero") {
-    for (sys <- Seq("CleanAgent", "RetClean"); d <- Harness.table3Datasets)
+    for (sys <- Seq("CleanAgent", "RetClean"); d <- Harness.table3.datasets)
       assert(get(sys, d).f1 < 0.05, get(sys, d).row)
   }
 }

@@ -15,9 +15,6 @@ class BenchmarksSpec extends SparkSpec {
   private lazy val rayyan   = Rayyan.generate(spark)
   private lazy val movies   = Movies.generate(spark)
 
-  private def labelCounts(ds: BenchDataset): Map[String, Long] =
-    ds.labels.groupBy("error_type").count().collect().map(r => r.getString(0) -> r.getLong(1)).toMap
-
   /** Every label points at a cell where dirty ≠ clean, and vice versa. */
   private def assertLabelConsistency(ds: BenchDataset): Unit = {
     val d = repro.eval.Metrics.melt(ds.dirty, ds.keyCol, ds.dataColumns).withColumnRenamed("value", "dv")
@@ -36,7 +33,8 @@ class BenchmarksSpec extends SparkSpec {
     assert(hospital.dirty.columns.toSeq == "row_id" +: Hospital.columns)
   }
   test("hospital error mix tracks Table 2 (typo 213, fd 331, coltype 3000, dmv 227)") {
-    val c = labelCounts(hospital)
+    val c = hospital.errorTypeCounts
+    assert(c == Map("typo" -> 213L, "fd" -> 311L, "coltype" -> 3000L, "dmv" -> 227L))
     assert(c("coltype") == 3000)
     assert(c("dmv") == 227)
     assert(math.abs(c("typo") - 213) <= 25, s"typo=${c("typo")}")
@@ -62,10 +60,12 @@ class BenchmarksSpec extends SparkSpec {
     assert(sizes.forall(s => s >= 1 && s <= 6))
   }
   test("flights errors are time FD jitter plus carrier typos") {
-    val c = labelCounts(flights)
+    val c = flights.errorTypeCounts
     assert(c("fd") > 500, s"fd=${c("fd")}")
     assert(c.getOrElse("typo", 0L) >= 50)
+    // No column-type or DMV cell, so the Table-1 and Table-3 rules count the same cells.
     assert(!c.contains("coltype"))
+    assert(!c.contains("dmv"))
   }
   test("flights ambiguity: most violating act-time groups lack a 60% majority") {
     import org.apache.spark.sql.expressions.Window
@@ -84,7 +84,7 @@ class BenchmarksSpec extends SparkSpec {
 
   test("beers has 2410 rows and ounce-word inconsistencies") {
     assert(beers.dirty.count() == 2410)
-    val c = labelCounts(beers)
+    val c = beers.errorTypeCounts
     assert(c("inconsistency") == Beers.inconsistencyTarget + Beers.dotVariantTarget)
     assert(c("fd") == Beers.fdTarget)
     assert(c("dmv") == Beers.dmvTarget)
@@ -104,7 +104,7 @@ class BenchmarksSpec extends SparkSpec {
     assert(rayyan.dirty.filter("article_language = 'English'").count() > 50)
   }
   test("rayyan error mix covers typos, language/date inconsistency, fd, dmv, misplacement") {
-    val c = labelCounts(rayyan)
+    val c = rayyan.errorTypeCounts
     assert(c("typo") >= 300)
     assert(c("inconsistency") >= 200) // language + dates
     assert(c("fd") == 150)
@@ -114,7 +114,7 @@ class BenchmarksSpec extends SparkSpec {
   test("rayyan titles carry distance-2 bait tokens that are not errors") {
     // They exist in dirty and clean alike (never labelled).
     val labels = rayyan.labels.filter("column = 'article_title'").count()
-    val c = labelCounts(rayyan)
+    val c = rayyan.errorTypeCounts
     assert(labels == c("typo"))
   }
   test("rayyan labels are consistent") { assertLabelConsistency(rayyan) }
@@ -123,7 +123,8 @@ class BenchmarksSpec extends SparkSpec {
 
   test("movies has 7390 rows; coltype spans duration and rating columns") {
     assert(movies.dirty.count() == 7390)
-    val c = labelCounts(movies)
+    val c = movies.errorTypeCounts
+    assert(c == Map("typo" -> 184L, "coltype" -> 14780L, "dmv" -> 131L, "misplacement" -> 938L))
     assert(c("coltype") == 2 * 7390)
     assert(c("typo") <= Movies.typoTarget && c("typo") >= Movies.typoTarget - 20)
     assert(c("misplacement") == Movies.misplacementTarget)
@@ -137,6 +138,11 @@ class BenchmarksSpec extends SparkSpec {
     assert(movies.clean.filter("duration RLIKE '^[0-9]+\\\\.0$'").count() == 7390)
   }
   test("movies labels are consistent") { assertLabelConsistency(movies) }
+
+  test("Hospital and Movies have no error-type overlap anomalies") {
+    assert(!hospital.errorTypeCounts.contains("misplacement"))
+    assert(!movies.errorTypeCounts.contains("fd"))
+  }
 
   test("title vocabulary is invisible to the dictionary corrector") {
     // No movie title token is within distance 2 of the research dictionary —

@@ -1,6 +1,7 @@
 package repro.eval
 
 import repro.SparkSpec
+import repro.bench.PaperGrid
 
 class HarnessSpec extends SparkSpec {
 
@@ -10,7 +11,7 @@ class HarnessSpec extends SparkSpec {
   }
 
   test("dataset factory knows all five benchmarks") {
-    for (name <- Harness.table1Datasets) {
+    for (name <- Harness.table1.datasets) {
       val ds = Harness.dataset(spark, name)
       assert(ds.name == name && ds.dirty.count() > 0)
     }
@@ -20,10 +21,9 @@ class HarnessSpec extends SparkSpec {
     intercept[IllegalArgumentException](Harness.dataset(spark, "nope"))
   }
 
-  test("evaluate produces a bounded score") {
-    val ds = Harness.dataset(spark, "beers")
-    val s = Harness.evaluate(spark, ds, new CocoonSystem, Metrics.table1Excluded)
-    assert(s.precision >= 0 && s.precision <= 1 && s.recall >= 0 && s.recall <= 1)
+  test("grid produces bounded scores") {
+    for (s <- PaperGrid.table1 ++ PaperGrid.table3)
+      assert(s.precision >= 0 && s.precision <= 1 && s.recall >= 0 && s.recall <= 1, s.row)
   }
 
   test("formatTable renders one row per system") {

@@ -126,7 +126,7 @@ class ProfileCarrySpec extends JobCounting {
     assert(carry("city" -> MapValues(Seq("Reno" -> "Dothan"))).isDefined)
   }
 
-  for (name <- Harness.table1Datasets)
+  for (name <- Harness.table1.datasets)
     test(s"replaying Cocoon's steps on $name, every carried profile equals a fresh one") {
       val ds = Harness.dataset(spark, name)
       val result = CocoonPipeline.run(spark, ds.dirty, new SimulatedLLM(), CocoonConfig(keyCol = ds.keyCol, tableDesc = ds.name))
