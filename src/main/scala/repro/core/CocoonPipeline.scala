@@ -34,8 +34,9 @@ final case class CocoonResult(cleaned: DataFrame, steps: Seq[CleaningStep], colu
   * e.g. FD grouping sees typo-fixed values — the reason the order matters.
   * Stages share one [[TableProfile]] per table state, covering every column,
   * the key too (a key that is still distinct proves the table has no
-  * duplicate rows). A run profiles its input once; after each step the next
-  * profile is carried on the driver ([[ProfileCarry]]), and the table is
+  * duplicate rows). A run profiles its input once; each stage then decides,
+  * applies its step and carries the profile on the driver through the plan
+  * the step's SQL resolved to, with no query ([[ProfileCarry]]). The table is
   * profiled again only where the carry cannot be exact and a later stage
   * reads the profile. The applied steps are chained as one plan over the
   * input, as the script chains its CTEs; only the profile builds and the
@@ -72,8 +73,8 @@ object CocoonPipeline {
       profile = Some(p)
       val step = stage(df, p)
       if (!step.isNoop) {
-        profile = ProfileCarry.after(spark, df, p, step)
         df = CleaningStep.apply(spark, df, step)
+        profile = ProfileCarry.after(p, step, df)
         steps :+= step
       }
     }

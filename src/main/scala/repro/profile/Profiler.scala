@@ -189,8 +189,12 @@ object Profiler {
     )
     val l = F.col("l"); val r = F.col("r"); val n = F.col("n")
     val d = F.col("d"); val pos = F.col("pos"); val grank = F.col("grank")
-    val group   = Window.partitionBy("pair", "l")
-    val pairWin = Window.partitionBy("pair")
+    // One sort per window, its aggregates over the whole ranked partition: plurality
+    // rhs first (pos 1); violating groups first, then by (size desc, lhs value asc).
+    val byPos   = Window.partitionBy("pair", "l").orderBy(n.desc, r.asc)
+    val byGroup = Window.partitionBy("pair").orderBy(F.when(d > 1, 0).otherwise(1), F.col("sz").desc, l.asc)
+    val group   = byPos.rowsBetween(Window.unboundedPreceding, Window.unboundedFollowing)
+    val pairWin = byGroup.rowsBetween(Window.unboundedPreceding, Window.unboundedFollowing)
     val rows = stacked
       .filter(l.isNotNull && r.isNotNull)
       .coalesce(1)
@@ -200,17 +204,14 @@ object Profiler {
         F.col("pair"), l, r, n,
         F.sum(n).over(group).as("sz"),
         F.count(F.lit(1)).over(group).as("d"),
-        F.row_number().over(group.orderBy(n.desc, r.asc)).as("pos"), // 1 = plurality rhs
+        F.row_number().over(byPos).as("pos"),
       )
       .select(
         F.col("pair"), l, r, n, d, pos,
         F.sum(n).over(pairWin).as("total"),
         F.sum(F.when(pos === 1, n).otherwise(0L)).over(pairWin).as("agree"),
         F.sum(F.when(pos === 1 && d > 1, 1L).otherwise(0L)).over(pairWin).as("viol"),
-        // Violating groups first, then by (size desc, lhs value asc).
-        F.dense_rank()
-          .over(pairWin.orderBy(F.when(d > 1, 0).otherwise(1), F.col("sz").desc, l.asc))
-          .as("grank"),
+        F.dense_rank().over(byGroup).as("grank"),
       )
       // The capped violating groups, plus one row per pair for its totals.
       .filter((d > 1 && grank <= maxGroups) || (grank === 1 && pos === 1))

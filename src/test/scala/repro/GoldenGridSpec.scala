@@ -1,11 +1,8 @@
 package repro
 
-import org.apache.spark.sql.DataFrame
-import repro.bench.PaperGrid
-import repro.core.{CleaningStep, CocoonConfig, CocoonPipeline}
-import repro.datasets.BenchDataset
-import repro.eval.{Harness, Metrics}
-import repro.llm.SimulatedLLM
+import repro.bench.{CocoonRuns, PaperGrid}
+import repro.core.CleaningStep
+import repro.eval.Harness
 import repro.util.SqlGen
 
 /** Cocoon's behaviour contract: the exact cell counts it produces on each of
@@ -26,10 +23,14 @@ import repro.util.SqlGen
   * Hospital takes 3: its FD arms overlap, so the table is profiled again
   * after the FD step. The first read of the cleaned table runs that plan in
   * 3 more, so the bound on the run and its read catches work moved into the
-  * reader. Every run, its scoring and its script compile under whole-stage
-  * codegen: a fallback to interpreted execution fails the test.
+  * reader. A run's only SQL executions are those jobs and one temp-view
+  * command per applied step: the profile is carried through each step's
+  * resolved plan with no query. Every run, its scoring and its script compile
+  * under whole-stage codegen: a fallback to interpreted execution fails the
+  * test. The runs are [[CocoonRuns]], measured once and shared with
+  * `ProfileCarrySpec`.
   */
-class GoldenGridSpec extends JobCounting {
+class GoldenGridSpec extends SparkSpec {
 
   private val MaxJobsPerRun        = 3
   private val MaxJobsPerRunAndRead = 6
@@ -47,47 +48,27 @@ class GoldenGridSpec extends JobCounting {
     "movies"   -> "a01a856b77bb376ae93b8f31b960b21ce9f708fc54f7d607dd4fb669d59103e5",
   )
 
-  /** The cells of `clean`'s output on `ds` under the Table-1 and the Table-3
-    * rules, with the value `clean` returns beside its output, the jobs
-    * `clean` starts and the jobs of the first read of its output.
-    */
-  private def cellCounts[A](name: String, ds: BenchDataset)(clean: => (DataFrame, A)) = {
-    val ((cleaned, extra), runJobs) = countingJobs(clean)
-    val out = cleaned.cache()
-    try {
-      val (_, readJobs) = countingJobs(out.count())
-      def counts(excluded: Set[String]) = {
-        val s = Metrics.score(ds, name, out, excluded)
-        (s.changedCells, s.correctChanges, s.errorCells)
-      }
-      (counts(Metrics.table1Excluded), counts(Set.empty), extra, (runJobs, readJobs))
-    } finally out.unpersist()
-  }
-
   for (name <- Harness.table1.datasets)
     test(s"Cocoon's cell counts on $name are pinned under the Table-1 and Table-3 rules") {
-      val ds = Harness.dataset(spark, name)
-      val ((t1, t3, res, (runJobs, readJobs)), runFallbacks) = CodegenFallbacks.counting {
-        cellCounts("Cocoon", ds) {
-          val res = CocoonPipeline.run(spark, ds.dirty, new SimulatedLLM(), CocoonConfig(keyCol = ds.keyCol, tableDesc = ds.name))
-          (res.cleaned, res)
-        }
-      }
-      info(s"$runJobs Spark jobs in the run, $readJobs in the first read")
-      assert(t1 == pinnedTable1(("Cocoon", name)))
-      assert(t3 == pinnedTable3(("Cocoon", name)))
-      assert(Sha256(res.script) == pinnedScripts(name), s"$name: the emitted script changed")
+      val run = CocoonRuns(name)
+      import run._
+      info(s"$runJobs Spark jobs in the run, $readJobs in the first read, $runExecutions SQL executions in the run")
+      assert(table1 == pinnedTable1(("Cocoon", name)))
+      assert(table3 == pinnedTable3(("Cocoon", name)))
+      assert(Sha256(result.script) == pinnedScripts(name), s"$name: the emitted script changed")
       assert(runJobs <= MaxJobsPerRun, s"$name: $runJobs Spark jobs in one run")
       assert(runJobs + readJobs <= MaxJobsPerRunAndRead, s"$name: $runJobs + $readJobs Spark jobs in a run and its first read")
+      assert(runExecutions == runJobs + result.steps.size,
+        s"$name: $runExecutions SQL executions in a run of $runJobs jobs and ${result.steps.size} steps")
 
       ds.dirty.createOrReplaceTempView("input")
       val (_, scriptFallbacks) = try CodegenFallbacks.counting {
-        val scripted = spark.sql(res.script)
-        assert(res.cleaned.exceptAll(scripted).isEmpty, s"$name: rows of cleaned missing from the script's output")
-        assert(scripted.exceptAll(res.cleaned).isEmpty, s"$name: rows of the script's output missing from cleaned")
+        val scripted = spark.sql(result.script)
+        assert(result.cleaned.exceptAll(scripted).isEmpty, s"$name: rows of cleaned missing from the script's output")
+        assert(scripted.exceptAll(result.cleaned).isEmpty, s"$name: rows of the script's output missing from cleaned")
       } finally spark.catalog.dropTempView("input")
-      assert(runFallbacks == 0 && scriptFallbacks == 0,
-        s"$name: whole-stage codegen fell back $runFallbacks times in the run and its scoring, $scriptFallbacks in the script")
-      Oracle.assertEquivalent(res.cleaned, CleaningStep.renderScript(res.steps, res.columns, SqlGen.identAnsi), "input" -> ds.dirty)
+      assert(fallbacks == 0 && scriptFallbacks == 0,
+        s"$name: whole-stage codegen fell back $fallbacks times in the run and its scoring, $scriptFallbacks in the script")
+      Oracle.assertEquivalent(result.cleaned, CleaningStep.renderScript(result.steps, result.columns, SqlGen.identAnsi), "input" -> ds.dirty)
     }
 }

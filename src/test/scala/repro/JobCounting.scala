@@ -1,62 +1,79 @@
 package repro
 
+import java.util.concurrent.ConcurrentLinkedQueue
 import java.util.concurrent.atomic.AtomicLong
 
+import scala.jdk.CollectionConverters._
+
 import org.apache.spark.ListenerBusAccess
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
-import org.apache.spark.sql.execution.QueryExecution
+import org.apache.spark.scheduler.{SparkListener, SparkListenerEvent, SparkListenerJobStart}
+import org.apache.spark.sql.execution.{QueryExecution, SparkPlan}
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
-import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
+import org.apache.spark.sql.execution.ui.SparkListenerSQLExecutionStart
 import org.apache.spark.sql.util.QueryExecutionListener
 
-/** Counts the Spark jobs a block of code starts, and the shuffle exchanges
-  * in the executed plans of the queries it runs, with listeners registered
-  * for the suite's lifetime. Neither depends on the hardware.
+/** Counts the Spark jobs and the SQL executions a block of code starts on
+  * the shared session, and captures the executed plans of the queries it
+  * runs. None of these depends on the hardware. The listeners are added on
+  * first use and stay for the JVM, so a memo computed by one suite is
+  * measured the same way as a suite's own block.
   */
-trait JobCounting extends SparkSpec {
+object JobCounting {
 
-  private val jobs = new AtomicLong
-  private val jobCounter = new SparkListener {
-    override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
-  }
+  private val jobs       = new AtomicLong
+  private val executions = new AtomicLong
+  private val plans      = new ConcurrentLinkedQueue[SparkPlan]
+  @volatile private var capturing = false
 
-  private val exchanges = new AtomicLong
-  private val exchangeCounter = new QueryExecutionListener {
-    override def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit =
-      exchanges.addAndGet(JobCounting.Plans.collect(qe.executedPlan) { case e: ShuffleExchangeExec => e }.size.toLong)
-    override def onFailure(funcName: String, qe: QueryExecution, error: Exception): Unit = ()
-  }
-
-  override def beforeAll(): Unit = {
-    super.beforeAll()
-    spark.sparkContext.addSparkListener(jobCounter)
-    spark.listenerManager.register(exchangeCounter)
-  }
-
-  override def afterAll(): Unit = {
-    spark.listenerManager.unregister(exchangeCounter)
-    spark.sparkContext.removeSparkListener(jobCounter)
-    super.afterAll()
+  private lazy val installed: Unit = {
+    val spark = SparkSpec.shared
+    spark.sparkContext.addSparkListener(new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+      override def onOtherEvent(e: SparkListenerEvent): Unit = e match {
+        case _: SparkListenerSQLExecutionStart => executions.incrementAndGet()
+        case _                                 => ()
+      }
+    })
+    spark.listenerManager.register(new QueryExecutionListener {
+      override def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit =
+        if (capturing) plans.add(qe.executedPlan)
+      override def onFailure(funcName: String, qe: QueryExecution, error: Exception): Unit = ()
+    })
   }
 
   /** `body`'s result and the number of Spark jobs it started. */
   def countingJobs[A](body: => A): (A, Long) = counting(jobs)(body)
 
-  /** `body`'s result and the number of shuffle exchanges in the executed
-    * plans, adaptive query stages included, of the queries it ran.
+  /** `body`'s result and the number of SQL executions it started: every
+    * query run and every command, such as registering a temp view, whether
+    * or not it starts a job.
     */
-  def countingExchanges[A](body: => A): (A, Long) = counting(exchanges)(body)
+  def countingExecutions[A](body: => A): (A, Long) = counting(executions)(body)
+
+  /** `body`'s result and the executed plans of the queries it ran. */
+  def executedPlans[A](body: => A): (A, Seq[SparkPlan]) = {
+    drained(plans.clear())
+    capturing = true
+    try { val a = body; drained(()); (a, plans.asScala.toSeq) }
+    finally { capturing = false; plans.clear() }
+  }
+
+  /** The nodes of `plans` that `pf` matches, adaptive query stages included. */
+  def collectNodes[B](plans: Seq[SparkPlan])(pf: PartialFunction[SparkPlan, B]): Seq[B] =
+    plans.flatMap(Plans.collect(_)(pf))
 
   private def counting[A](counter: AtomicLong)(body: => A): (A, Long) = {
-    ListenerBusAccess.drain(spark.sparkContext)
-    val before = counter.get
+    val before = drained(counter.get)
     val a = body
-    ListenerBusAccess.drain(spark.sparkContext)
-    (a, counter.get - before)
+    (a, drained(counter.get) - before)
   }
-}
 
-object JobCounting {
+  /** `read` once every event posted so far has reached the listeners. */
+  private def drained[A](read: => A): A = {
+    installed
+    ListenerBusAccess.drain(SparkSpec.shared.sparkContext)
+    read
+  }
 
   /** Walks executed plans into their adaptive query stages. */
   private object Plans extends AdaptiveSparkPlanHelper

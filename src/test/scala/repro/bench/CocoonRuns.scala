@@ -1,0 +1,54 @@
+package repro.bench
+
+import scala.collection.mutable
+
+import repro.{CodegenFallbacks, SparkSpec}
+import repro.JobCounting.{countingExecutions, countingJobs}
+import repro.core.{CocoonConfig, CocoonPipeline, CocoonResult}
+import repro.datasets.BenchDataset
+import repro.eval.{Harness, Metrics}
+import repro.llm.SimulatedLLM
+
+/** One measured Cocoon run per benchmark at its default seed, made once per
+  * test run and shared by the suites that read it: `GoldenGridSpec` pins its
+  * cells, script, Spark jobs and codegen fallbacks, and `ProfileCarrySpec`
+  * replays its steps.
+  *
+  * Every count is taken inside the memoised run, so it does not depend on
+  * which suite asks first: the jobs and SQL executions the run starts, the
+  * jobs of the first read of its cached output, its cells under the Table-1
+  * and the Table-3 rules, and the codegen fallbacks of all of these.
+  */
+object CocoonRuns {
+
+  final case class Run(
+      ds: BenchDataset,
+      result: CocoonResult,
+      table1: PaperGrid.Cells,
+      table3: PaperGrid.Cells,
+      runJobs: Long,
+      runExecutions: Long,
+      readJobs: Long,
+      fallbacks: Long,
+  )
+
+  private val runs = mutable.Map.empty[String, Run]
+
+  def apply(name: String): Run = synchronized(runs.getOrElseUpdate(name, measure(name)))
+
+  private def measure(name: String): Run = {
+    val spark = SparkSpec.shared
+    val ds = Harness.dataset(spark, name)
+    val (run, fallbacks) = CodegenFallbacks.counting {
+      val ((res, runJobs), runExecutions) = countingExecutions(countingJobs(
+        CocoonPipeline.run(spark, ds.dirty, new SimulatedLLM(), CocoonConfig(keyCol = ds.keyCol, tableDesc = ds.name))))
+      val out = res.cleaned.cache()
+      try {
+        val (_, readJobs) = countingJobs(out.count())
+        def cells(excluded: Set[String]) = PaperGrid.cells(Metrics.score(ds, "Cocoon", out, excluded))
+        Run(ds, res, cells(Metrics.table1Excluded), cells(Set.empty), runJobs, runExecutions, readJobs, fallbacks = 0L)
+      } finally out.unpersist()
+    }
+    run.copy(fallbacks = fallbacks) // counted once the scoring is done too
+  }
+}

@@ -2,10 +2,11 @@ package repro.core
 
 import java.sql.Date
 
-import repro.{JobCounting, Sha256}
+import repro.{Sha256, SparkSpec}
+import repro.JobCounting.countingJobs
 import repro.llm.SimulatedLLM
 
-class CocoonPipelineSpec extends JobCounting {
+class CocoonPipelineSpec extends SparkSpec {
   import spark.implicits._
 
   private val llm = new SimulatedLLM()

@@ -3,20 +3,21 @@ package repro.profile
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.types.{IntegerType, LongType, StringType, StructField, StructType}
 import org.scalacheck.Gen
-import repro.{JobCounting, Seeded}
+import repro.{Seeded, SparkSpec}
+import repro.JobCounting.{countingExecutions, countingJobs}
+import repro.bench.CocoonRuns
 import repro.core._
 import repro.eval.Harness
-import repro.llm.SimulatedLLM
 
 /** The profile [[ProfileCarry]] derives on the driver equals the one
   * [[TableProfile.of]] measures on the rewritten table, wherever the carry is
-  * defined, and deriving it starts no Spark job.
+  * defined, and deriving it starts no Spark job and no SQL execution.
   *
   * Profiles are compared up to the sign of a zero minimum or maximum: with
   * both "-0" and "0" in a column, Spark's `min` keeps whichever it meets
   * first.
   */
-class ProfileCarrySpec extends JobCounting {
+class ProfileCarrySpec extends SparkSpec {
 
   private val schema = StructType(Seq(
     StructField("row_id", LongType, nullable = false),
@@ -82,10 +83,12 @@ class ProfileCarrySpec extends JobCounting {
 
   /** The carried profile, checked against a fresh one wherever it is defined. */
   private def carryChecked(df: DataFrame, before: TableProfile, step: CleaningStep): Option[TableProfile] = {
-    val (carried, jobs) = countingJobs(ProfileCarry.after(spark, df, before, step))
+    val applied = CleaningStep.apply(spark, df, step)
+    val ((carried, jobs), executions) = countingExecutions(countingJobs(ProfileCarry.after(before, step, applied)))
     assert(jobs == 0, s"carrying ${step.issue} started $jobs Spark jobs")
+    assert(executions == 0, s"carrying ${step.issue} started $executions SQL executions")
     carried.foreach { c =>
-      val rebuilt = TableProfile.of(CleaningStep.apply(spark, df, step), before.maxValues)
+      val rebuilt = TableProfile.of(applied, before.maxValues)
       assert(canon(c) == canon(rebuilt), s"carried ≠ rebuilt after $step")
     }
     carried
@@ -112,14 +115,19 @@ class ProfileCarrySpec extends JobCounting {
     val df = Seq((1L, "z1", "x1", "Boston"), (2L, "z1", "x1", "Dothan"), (3L, "z2", "x2", "Reno"))
       .toDF("row_id", "zip", "phone", "city")
     val p = TableProfile.of(df)
-    def carry(rws: (String, Rewrite)*) =
-      ProfileCarry.after(spark, df, p, CleaningStep("s", rws.map { case (c, rw) => ColumnRewrite(c, rw, "r") }))
+    def after(p: TableProfile, s: CleaningStep) = ProfileCarry.after(p, s, CleaningStep.apply(spark, df, s))
+    def step(rws: (String, Rewrite)*) = CleaningStep("s", rws.map { case (c, rw) => ColumnRewrite(c, rw, "r") })
+    def carry(rws: (String, Rewrite)*) = after(p, step(rws: _*))
 
-    assert(ProfileCarry.after(spark, df, p, CleaningStep("dup", Seq.empty, DistinctRows("r"))).isEmpty)
-    assert(ProfileCarry.after(spark, df, p, CleaningStep("u", Seq.empty, KeepFirstPerKey("zip", "phone", None, "r"))).isEmpty)
+    assert(after(p, CleaningStep("dup", Seq.empty, DistinctRows("r"))).isEmpty)
+    assert(after(p, CleaningStep("u", Seq.empty, KeepFirstPerKey("zip", "phone", None, "r"))).isEmpty)
     assert(carry("row_id" -> RangeClamp(Some(2.0), None)).isEmpty, "non-string column")
-    assert(ProfileCarry.after(spark, df, TableProfile.of(df, maxValues = 1), CleaningStep("s",
-      Seq(ColumnRewrite("city", MapToNull(Seq("Reno")), "r")))).isEmpty, "truncated profile")
+    val reno = step("city" -> MapToNull(Seq("Reno")))
+    assert(after(TableProfile.of(df, maxValues = 1), reno).isEmpty, "truncated profile")
+    // A plan that is not the step's Project over the column is never guessed at.
+    assert(ProfileCarry.after(p, reno, CleaningStep.apply(spark, df, reno).filter("row_id > 0")).isEmpty, "not a Project")
+    assert(ProfileCarry.after(p, reno, df.selectExpr("row_id", "zip", "phone", "upper(zip) AS city")).isEmpty, "not from the column")
+    assert(ProfileCarry.after(p, reno, df).isEmpty, "the input's own plan")
     // Both arms match row 1: its zip is z1 and its phone is x1.
     assert(carry("city" -> FdRepair(Seq(FdCase("zip", "z1", "Boston", "Dothan", 1L), FdCase("phone", "x1", "Boston", "Reno", 1L)))).isEmpty)
     assert(carry("city" -> FdRepair(Seq(FdCase("zip", "z1", "Boston", "Dothan", 1L)))).isDefined)
@@ -128,8 +136,8 @@ class ProfileCarrySpec extends JobCounting {
 
   for (name <- Harness.table1.datasets)
     test(s"replaying Cocoon's steps on $name, every carried profile equals a fresh one") {
-      val ds = Harness.dataset(spark, name)
-      val result = CocoonPipeline.run(spark, ds.dirty, new SimulatedLLM(), CocoonConfig(keyCol = ds.keyCol, tableDesc = ds.name))
+      val run = CocoonRuns(name)
+      import run.{ds, result}
       assert(result.steps.nonEmpty)
       var df = ds.dirty
       val carried = result.steps.map { s =>

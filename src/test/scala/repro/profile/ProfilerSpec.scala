@@ -3,9 +3,13 @@ package repro.profile
 import java.sql.Date
 
 import org.apache.spark.sql.DataFrame
-import repro.JobCounting
+import org.apache.spark.sql.execution.SortExec
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
+import org.apache.spark.sql.execution.window.WindowExec
+import repro.SparkSpec
+import repro.JobCounting._
 
-class ProfilerSpec extends JobCounting {
+class ProfilerSpec extends SparkSpec {
   import spark.implicits._
 
   private lazy val df = Seq(
@@ -63,8 +67,8 @@ class ProfilerSpec extends JobCounting {
 
   /** The Spark jobs `body` starts and the shuffle exchanges its queries plan. */
   private def jobsAndExchanges(body: => Any): (Long, Long) = {
-    val ((_, jobs), exchanges) = countingExchanges(countingJobs(body))
-    (jobs, exchanges)
+    val ((_, jobs), plans) = executedPlans(countingJobs(body))
+    (jobs, collectNodes(plans) { case e: ShuffleExchangeExec => e }.size.toLong)
   }
 
   // The name predates the query's one-job form; it is kept as the test's id.
@@ -159,6 +163,14 @@ class ProfilerSpec extends JobCounting {
     val d = Seq(("a", "1", "x"), ("a", "2", "x"), ("b", "3", "y")).toDF("l", "r", "s")
     val pairs = Seq("l" -> "r", "l" -> "s", "s" -> "l", "r" -> "s")
     assert(jobsAndExchanges(Profiler.scoreFds(d, pairs, 10)) == (1L, 0L))
+  }
+
+  test("scoreFds sorts once per window: two windows over two sorts") {
+    val d = Seq(("a", "1", "x"), ("a", "2", "x"), ("b", "3", "y")).toDF("l", "r", "s")
+    val (_, plans) = executedPlans(Profiler.scoreFds(d, Seq("l" -> "r", "s" -> "l"), 10))
+    val windows = collectNodes(plans) { case w: WindowExec => w }.size
+    val sorts   = collectNodes(plans) { case s: SortExec => s }.size
+    assert((windows, sorts) == (2, 2), s"$windows windows and $sorts sorts")
   }
 
   test("scoreFds on a pair with no non-null rows scores zero") {
