@@ -5,6 +5,7 @@ import java.util.concurrent.atomic.AtomicLong
 import org.apache.spark.sql.{classic, DataFrame, SparkSession}
 import org.apache.spark.sql.types.StringType
 import repro.util.SqlGen
+import repro.util.SqlGen.Dialect
 
 /** How one column is rewritten by a cleaning step. All of Cocoon's cleaning
   * actions (paper §2.1) reduce to these four SQL-expressible forms, which is
@@ -12,10 +13,16 @@ import repro.util.SqlGen
   */
 sealed trait Rewrite
 
-/** `CASE WHEN col='bad' THEN 'good' ... ELSE col END` — typo/representation
-  * fixes (§2.1.1), pattern standardisation (§2.1.2), boolean casts (§2.1.4).
+/** `COALESCE(element_at(map('bad', 'good', ...), col), col)` — typo and
+  * representation fixes (§2.1.1), pattern standardisation (§2.1.2), boolean
+  * casts (§2.1.4). The keys are distinct and no key or target is NULL: a
+  * literal map holds neither a key twice nor a NULL key, and `COALESCE`
+  * cannot tell a NULL target from a value the map does not hold.
   */
-final case class MapValues(mapping: Seq[(String, String)]) extends Rewrite
+final case class MapValues(mapping: Seq[(String, String)]) extends Rewrite {
+  require(mapping.forall { case (k, v) => k != null && v != null }, "a value map has a NULL key or target")
+  require(mapping.map(_._1).distinct.size == mapping.size, "a value map has a key twice")
+}
 
 /** `CASE WHEN col IN (...) THEN NULL ELSE col END` — DMV cleaning (§2.1.3). */
 final case class MapToNull(values: Seq[String]) extends Rewrite
@@ -30,14 +37,14 @@ final case class RangeClamp(lo: Option[Double], hi: Option[Double]) extends Rewr
   */
 final case class FdCase(lhsCol: String, lhsVal: String, badRhs: String, target: String, rows: Long)
 
-/** FD repairs of one column, rendered grouped by lhs column:
-  * `COALESCE(CASE lhs1 WHEN 'l' THEN CASE col WHEN 'bad' THEN 'good' ... END
-  * ... END, CASE lhs2 ..., col)`, the groups in arm order. A row takes the
+/** FD repairs of one column, rendered as one nested map lookup per lhs
+  * column: `COALESCE(element_at(element_at(map('l', map('bad', 'good', ...),
+  * ...), lhs1), col), ..., col)`, the groups in arm order. A row takes the
   * arm of the first lhs column with one that matches it, as a flat
   * `CASE WHEN lhs = 'l' AND col = 'bad'` over arms sorted by lhs column
-  * would, when `(lhsCol, lhsVal, badRhs)` is unique and no target is NULL.
-  * Nesting keeps each group a short simple `CASE`, which whole-stage
-  * codegen compiles where a flat `CASE` of hundreds of arms overflows.
+  * would, when `(lhsCol, lhsVal, badRhs)` is unique and no value is NULL.
+  * Each map is one literal, so the code whole-stage codegen generates for it
+  * is the same size however many arms it holds.
   */
 final case class FdRepair(cases: Seq[FdCase]) extends Rewrite
 
@@ -83,25 +90,23 @@ object CleaningStep {
   def perColumn(issue: String, columns: Seq[String])(f: String => Option[ColumnRewrite]): CleaningStep =
     CleaningStep(issue, columns.flatMap(f))
 
-  /** Render a rewrite as a SQL expression in the given identifier dialect
-    * (backticks for Spark, double quotes for DuckDB — the oracle re-runs the
-    * same logical SQL there).
+  /** Render a rewrite as a SQL expression in dialect `d`: Spark runs it, and
+    * the DuckDB oracle re-runs the same logical SQL in its own spelling.
     */
-  def renderExpr(col: String, rw: Rewrite, quote: String => String): String = rw match {
-    case MapValues(m)      => SqlGen.caseWhenMap(col, m, quote)
-    case MapToNull(vs)     => SqlGen.caseWhenNull(col, vs, quote)
-    case RangeClamp(lo, hi) => SqlGen.caseWhenRange(col, lo, hi, quote)
+  def renderExpr(col: String, rw: Rewrite, d: Dialect): String = rw match {
+    case MapValues(m)       => SqlGen.mapLookup(col, m, d)
+    case MapToNull(vs)      => SqlGen.caseWhenNull(col, vs, d)
+    case RangeClamp(lo, hi) => SqlGen.caseWhenRange(col, lo, hi, d)
     case FdRepair(cases) =>
-      if (cases.isEmpty) quote(col)
+      if (cases.isEmpty) d.ident(col)
       else {
         val groups = inOrder(cases)(_.lhsCol).map { case (lhs, byLhs) =>
-          val whens = inOrder(byLhs)(_.lhsVal).map { case (lhsVal, arms) =>
-            val inner = arms.map(c => s"WHEN ${SqlGen.lit(c.badRhs)} THEN ${SqlGen.lit(c.target)}").mkString(" ")
-            s"WHEN ${SqlGen.lit(lhsVal)} THEN CASE ${quote(col)} $inner END"
+          val byVal = inOrder(byLhs)(_.lhsVal).map { case (lhsVal, arms) =>
+            SqlGen.lit(lhsVal) -> d.map(arms.map(c => SqlGen.lit(c.badRhs) -> SqlGen.lit(c.target)))
           }
-          s"CASE ${quote(lhs)} ${whens.mkString(" ")} END"
+          d.lookup(d.lookup(d.map(byVal), d.ident(lhs)), d.ident(col))
         }
-        s"COALESCE(${(groups :+ quote(col)).mkString(", ")})"
+        s"COALESCE(${(groups :+ d.ident(col)).mkString(", ")})"
       }
   }
 
@@ -116,8 +121,9 @@ object CleaningStep {
       step: CleaningStep,
       allColumns: Seq[String],
       fromRelation: String,
-      quote: String => String,
+      d: Dialect,
   ): String = {
+    val quote = d.ident
     val byCol = step.rewrites.map(r => r.column -> r).toMap
     val (rowReasoning, distinct, from) = step.rows match {
       case KeepAllRows       => (None, "", fromRelation)
@@ -133,7 +139,7 @@ object CleaningStep {
     val items = allColumns
       .map { c =>
         byCol.get(c) match {
-          case Some(r) => s"${renderExpr(c, r.rewrite, quote)} AS ${quote(c)}"
+          case Some(r) => s"${renderExpr(c, r.rewrite, d)} AS ${quote(c)}"
           case None    => quote(c)
         }
       }
@@ -146,12 +152,12 @@ object CleaningStep {
     * `columns` (§2.2, Figure 5): one CTE per step, named after its position
     * and issue, each selecting from the one before.
     */
-  def renderScript(steps: Seq[CleaningStep], columns: Seq[String], quote: String => String): String =
+  def renderScript(steps: Seq[CleaningStep], columns: Seq[String], d: Dialect): String =
     if (steps.isEmpty) "-- no data quality issues detected\nSELECT * FROM input"
     else {
       val names = steps.zipWithIndex.map { case (s, i) => s"cleaned_${i + 1}_${s.issue.replace('-', '_')}" }
       val ctes = steps.lazyZip(names).lazyZip("input" +: names).map { (step, name, from) =>
-        s"$name AS (\n${renderSelect(step, columns, from, quote)}\n)"
+        s"$name AS (\n${renderSelect(step, columns, from, d)}\n)"
       }
       s"${ctes.mkString("WITH ", ",\n", "")}\nSELECT * FROM ${names.last}"
     }
@@ -162,7 +168,7 @@ object CleaningStep {
     */
   def apply(spark: SparkSession, df: DataFrame, step: CleaningStep): DataFrame =
     if (step.isNoop) df
-    else sqlOver(spark, df)(view => renderSelect(step, df.columns.toSeq, view, SqlGen.ident))
+    else sqlOver(spark, df)(view => renderSelect(step, df.columns.toSeq, view, Dialect.Spark))
 
   private val viewCounter = new AtomicLong
 

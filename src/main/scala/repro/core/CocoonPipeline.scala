@@ -3,7 +3,7 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.llm.LLMClient
 import repro.profile.TableProfile
-import repro.util.SqlGen
+import repro.util.SqlGen.Dialect
 
 /** One pipeline run's inputs besides the table. `keyCol` is the row
   * identifier and is never rewritten; `tableDesc` feeds the duplication
@@ -21,7 +21,7 @@ final case class CocoonConfig(keyCol: String = "row_id", tableDesc: String = "ta
   * it to read it twice.
   */
 final case class CocoonResult(cleaned: DataFrame, steps: Seq[CleaningStep], columns: Seq[String]) {
-  lazy val script: String = CleaningStep.renderScript(steps, columns, SqlGen.ident)
+  lazy val script: String = CleaningStep.renderScript(steps, columns, Dialect.Spark)
 }
 
 /** The paper's core contribution: decompose cleaning per issue type, each

@@ -12,8 +12,8 @@ import repro.profile.{Profiler, TableProfile}
   * meaningful (by what the columns denote); for each violating group the LLM
   * resolves the correct value — or declines when the group has no confident
   * majority (the paper's Flights discussion: ambiguous groups are preserved
-  * rather than guessed). Cleaning is a CASE on the lhs, then on the rhs
-  * ([[FdRepair]]).
+  * rather than guessed). Cleaning is a map lookup on the lhs, then on the
+  * rhs ([[FdRepair]]).
   */
 object FunctionalDeps {
 
@@ -57,8 +57,9 @@ object FunctionalDeps {
       .mapValues(_.map(_._2))
       .toMap
 
-    // The invariants under which the grouped rendering of `FdRepair` picks
-    // the arm a flat CASE over the sorted arms would.
+    // The invariants under which the nested map lookups of `FdRepair` pick
+    // the arm a flat CASE over the sorted arms would. Neither side of a
+    // guard is NULL: the scoring query drops rows with a NULL lhs or rhs.
     for ((rhs, cases) <- casesByRhs) {
       require(cases.map(c => (c.lhsCol, c.lhsVal, c.badRhs)).distinct.size == cases.size, s"$rhs: two FD arms share a guard")
       require(cases.forall(_.target != null), s"$rhs: an FD arm has a NULL target")

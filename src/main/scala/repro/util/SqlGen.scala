@@ -3,10 +3,10 @@ package repro.util
 /** Helpers for generating the SQL text Cocoon emits.
   *
   * Cocoon's output artifact is a set of well-commented SQL queries (paper
-  * §2.2, Figure 5). Every cleaning module builds `CASE WHEN` / `CAST` /
-  * `REGEXP_REPLACE` expressions as strings; this object centralises quoting
-  * so generated SQL is injection-safe and portable between Spark SQL (the
-  * executor) and DuckDB (the correctness oracle).
+  * §2.2, Figure 5). Every cleaning module builds map-lookup / `CASE WHEN` /
+  * `TRY_CAST` expressions as strings; this object centralises quoting so
+  * generated SQL is injection-safe, and [[SqlGen.Dialect]] holds what Spark
+  * SQL (the executor) and DuckDB (the correctness oracle) spell differently.
   */
 object SqlGen {
 
@@ -22,35 +22,63 @@ object SqlGen {
   def identAnsi(name: String): String =
     "\"" + name.replace("\"", "\"\"") + "\""
 
-  /** Build a `CASE WHEN col = 'bad' THEN 'good' ... ELSE col END` expression
-    * from a value mapping. Returns the bare column reference if the mapping
-    * is empty (no rewrite needed).
-    */
-  def caseWhenMap(col: String, mapping: Seq[(String, String)], quote: String => String = ident): String = {
-    if (mapping.isEmpty) quote(col)
-    else {
-      val whens = mapping
-        .map { case (bad, good) => s"WHEN ${quote(col)} = ${lit(bad)} THEN ${lit(good)}" }
-        .mkString(" ")
-      s"CASE $whens ELSE ${quote(col)} END"
+  /** How one engine spells identifiers and a lookup in a literal map. */
+  sealed abstract class Dialect(val ident: String => String) {
+
+    /** A literal map of rendered keys to rendered values. */
+    def map(entries: Seq[(String, String)]): String
+
+    /** The value `map` holds for `key`; NULL when it holds none or `key` is NULL. */
+    def lookup(map: String, key: String): String
+  }
+
+  object Dialect {
+
+    /** Spark SQL: `element_at(map('k', 'v', …), key)`. */
+    case object Spark extends Dialect(SqlGen.ident) {
+      def map(entries: Seq[(String, String)]): String =
+        entries.flatMap { case (k, v) => Seq(k, v) }.mkString("map(", ", ", ")")
+      def lookup(map: String, key: String): String = s"element_at($map, $key)"
+    }
+
+    /** DuckDB 1.0, whose `element_at` on a MAP returns a list of at most one
+      * value: `element_at(MAP {'k': 'v', …}, key)[1]`.
+      */
+    case object DuckDb extends Dialect(SqlGen.identAnsi) {
+      def map(entries: Seq[(String, String)]): String =
+        entries.map { case (k, v) => s"$k: $v" }.mkString("MAP {", ", ", "}")
+      def lookup(map: String, key: String): String = s"element_at($map, $key)[1]"
     }
   }
 
+  /** `COALESCE(lookup(map('bad', 'good', …), col), col)`: each value of `col`
+    * found in `mapping` becomes its target, every other value (NULL too)
+    * stays. The map is one literal, so the expression's generated code does
+    * not grow with the number of entries. Keys must be distinct and no key or
+    * target NULL. Returns the bare column when the mapping is empty.
+    */
+  def mapLookup(col: String, mapping: Seq[(String, String)], d: Dialect): String =
+    if (mapping.isEmpty) d.ident(col)
+    else {
+      val map = d.map(mapping.map { case (bad, good) => lit(bad) -> lit(good) })
+      s"COALESCE(${d.lookup(map, d.ident(col))}, ${d.ident(col)})"
+    }
+
   /** Build `CASE WHEN col IN (...) THEN NULL ELSE col END` for DMV cleaning. */
-  def caseWhenNull(col: String, bad: Seq[String], quote: String => String = ident): String =
-    if (bad.isEmpty) quote(col)
-    else s"CASE WHEN ${quote(col)} IN (${bad.map(lit).mkString(", ")}) THEN NULL ELSE ${quote(col)} END"
+  def caseWhenNull(col: String, bad: Seq[String], d: Dialect): String =
+    if (bad.isEmpty) d.ident(col)
+    else s"CASE WHEN ${d.ident(col)} IN (${bad.map(lit).mkString(", ")}) THEN NULL ELSE ${d.ident(col)} END"
 
   /** Threshold clamp used by numeric-outlier cleaning (§2.1.5): values
     * outside [lo, hi] are nulled (the paper thresholds via CASE WHEN).
     */
-  def caseWhenRange(col: String, lo: Option[Double], hi: Option[Double], quote: String => String = ident): String = {
+  def caseWhenRange(col: String, lo: Option[Double], hi: Option[Double], d: Dialect): String = {
     // TRY_CAST: tolerant of residual non-numeric strings on both Spark
     // (ANSI mode) and DuckDB.
-    val conds = lo.map(v => s"TRY_CAST(${quote(col)} AS DOUBLE) < $v").toSeq ++
-      hi.map(v => s"TRY_CAST(${quote(col)} AS DOUBLE) > $v").toSeq
-    if (conds.isEmpty) quote(col)
-    else s"CASE WHEN ${conds.mkString(" OR ")} THEN NULL ELSE ${quote(col)} END"
+    val conds = lo.map(v => s"TRY_CAST(${d.ident(col)} AS DOUBLE) < $v").toSeq ++
+      hi.map(v => s"TRY_CAST(${d.ident(col)} AS DOUBLE) > $v").toSeq
+    if (conds.isEmpty) d.ident(col)
+    else s"CASE WHEN ${conds.mkString(" OR ")} THEN NULL ELSE ${d.ident(col)} END"
   }
 
   /** One-line SQL comment carrying the LLM reasoning (Figure 5 style). */

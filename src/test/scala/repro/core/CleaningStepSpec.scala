@@ -1,8 +1,9 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import repro.{Oracle, SparkSpec}
-import repro.util.SqlGen
+import org.apache.spark.sql.execution.debug.codegenStringSeq
+import repro.{CodegenFallbacks, Oracle, SparkSpec}
+import repro.util.SqlGen.Dialect
 
 class CleaningStepSpec extends SparkSpec {
   import spark.implicits._
@@ -14,18 +15,35 @@ class CleaningStepSpec extends SparkSpec {
   /** `step`'s SQL on Spark and on DuckDB agree over `in`. */
   private def assertPortable(in: DataFrame, step: CleaningStep) = {
     val sparkOut = CleaningStep.apply(spark, in, step)
-    Oracle.assertEquivalent(sparkOut, CleaningStep.renderSelect(step, in.columns.toSeq, "input", SqlGen.identAnsi), "input" -> in)
+    Oracle.assertEquivalent(sparkOut, CleaningStep.renderSelect(step, in.columns.toSeq, "input", Dialect.DuckDb), "input" -> in)
     sparkOut
   }
 
-  test("renderExpr MapValues produces a CASE WHEN") {
-    val sql = CleaningStep.renderExpr("lang", MapValues(Seq("English" -> "eng")), SqlGen.ident)
-    assert(sql == "CASE WHEN `lang` = 'English' THEN 'eng' ELSE `lang` END")
+  test("renderExpr MapValues produces a map lookup in each dialect") {
+    val rw = MapValues(Seq("English" -> "eng"))
+    assert(CleaningStep.renderExpr("lang", rw, Dialect.Spark) == "COALESCE(element_at(map('English', 'eng'), `lang`), `lang`)")
+    assert(CleaningStep.renderExpr("lang", rw, Dialect.DuckDb) == "COALESCE(element_at(MAP {'English': 'eng'}, \"lang\")[1], \"lang\")")
   }
 
   test("renderExpr FdRepair guards on both lhs and rhs") {
-    val sql = CleaningStep.renderExpr("city", FdRepair(Seq(FdCase("zip", "36000", "Boston", "Dothan", 1L))), SqlGen.ident)
-    assert(sql == "COALESCE(CASE `zip` WHEN '36000' THEN CASE `city` WHEN 'Boston' THEN 'Dothan' END END, `city`)")
+    val rw = FdRepair(Seq(FdCase("zip", "36000", "Boston", "Dothan", 1L), FdCase("zip", "36000", "Bostn", "Dothan", 1L)))
+    assert(CleaningStep.renderExpr("city", rw, Dialect.Spark) ==
+      "COALESCE(element_at(element_at(map('36000', map('Boston', 'Dothan', 'Bostn', 'Dothan')), `zip`), `city`), `city`)")
+    assert(CleaningStep.renderExpr("city", rw, Dialect.DuckDb) ==
+      "COALESCE(element_at(element_at(MAP {'36000': MAP {'Boston': 'Dothan', 'Bostn': 'Dothan'}}, \"zip\")[1], \"city\")[1], \"city\")")
+  }
+
+  test("renderExpr FdRepair renders one nested lookup per lhs column, in arm order") {
+    val rw = FdRepair(Seq(FdCase("state", "AL", "Boston", "Mobile", 1L), FdCase("zip", "z1", "Boston", "Dothan", 1L)))
+    assert(CleaningStep.renderExpr("city", rw, Dialect.Spark) ==
+      "COALESCE(element_at(element_at(map('AL', map('Boston', 'Mobile')), `state`), `city`), " +
+      "element_at(element_at(map('z1', map('Boston', 'Dothan')), `zip`), `city`), `city`)")
+  }
+
+  test("MapValues rejects a NULL key or target, and a key twice") {
+    intercept[IllegalArgumentException](MapValues(Seq("bad" -> null)))
+    intercept[IllegalArgumentException](MapValues(Seq((null, "good"))))
+    intercept[IllegalArgumentException](MapValues(Seq("bad" -> "good", "bad" -> "other")))
   }
 
   test("FdRepair picks the arm of the first lhs column that matches, on Spark and DuckDB") {
@@ -47,12 +65,12 @@ class CleaningStepSpec extends SparkSpec {
   }
 
   test("renderExpr FdRepair with no cases is the bare column") {
-    assert(CleaningStep.renderExpr("c", FdRepair(Seq.empty), SqlGen.ident) == "`c`")
+    assert(CleaningStep.renderExpr("c", FdRepair(Seq.empty), Dialect.Spark) == "`c`")
   }
 
   test("renderSelect passes through untouched columns and comments rewrites") {
     val step = CleaningStep("string-outliers", Seq(ColumnRewrite("lang", MapValues(Seq("English" -> "eng")), "why")))
-    val sql = CleaningStep.renderSelect(step, Seq("row_id", "lang", "score"), "t", SqlGen.ident)
+    val sql = CleaningStep.renderSelect(step, Seq("row_id", "lang", "score"), "t", Dialect.Spark)
     assert(sql.contains("-- lang: why") && sql.contains("`row_id`") && sql.contains("AS `lang`"))
   }
 
@@ -91,7 +109,7 @@ class CleaningStepSpec extends SparkSpec {
 
   test("renderSelect comments a row action's reasoning") {
     val step = CleaningStep("uniqueness", Seq.empty, KeepFirstPerKey("k", "t", Some("row_id"), "why"))
-    val sql = CleaningStep.renderSelect(step, Seq("row_id", "k", "t"), "t0", SqlGen.ident)
+    val sql = CleaningStep.renderSelect(step, Seq("row_id", "k", "t"), "t0", Dialect.Spark)
     assert(sql.startsWith("-- why\n") && sql.contains("ORDER BY `t` DESC NULLS LAST, `row_id`"))
   }
 
@@ -133,5 +151,53 @@ class CleaningStepSpec extends SparkSpec {
     val step = CleaningStep("uniqueness", Seq.empty, KeepFirstPerKey("k", "t", Some("row_id"), "r"))
     val out = assertPortable(keyed, step)
     assert(out.select("payload").as[String].collect().sorted.toSeq == Seq("alone", "dated", "tied-low", "tied-nine"))
+  }
+
+  test("generated SQL is portable: quoted values, an awkward column name, NULL cells and unmatched values") {
+    // The rewritten column's name holds a backtick, a double quote and a
+    // space; so does the FD's lhs column. Values and targets hold quotes.
+    val city = "ci`ty \"name\""
+    val zip  = "z`ip \"code\""
+    val in = Seq[(Long, String, String)](
+      (1L, "z1", "O'Hare"), (2L, "z1", "Bostn"), (3L, null, "Bostn"), (4L, "z2", "Reno"),
+      (5L, "z2", null), (6L, null, null), (7L, "z1", "Dothan"), (8L, "z3", "Renno"),
+    ).toDF("row_id", zip, city)
+    val step = CleaningStep("s", Seq(
+      ColumnRewrite(city, MapValues(Seq("O'Hare" -> "Chicago O'Hare", "Renno" -> "Reno")), "typos"),
+      ColumnRewrite(zip, MapValues(Seq("z2" -> "z'2")), "pattern"),
+    ))
+    val fd = CleaningStep("fd", Seq(ColumnRewrite(city, FdRepair(Seq(
+      FdCase(zip, "z1", "Bostn", "Boston", 1L), FdCase(zip, "z'2", "Reno", "Coeur d'Alene", 1L),
+    )), "fd")))
+    val out = assertPortable(assertPortable(in, step), fd)
+    val cities = out.select($"row_id", out(s"`${city.replace("`", "``")}`")).as[(Long, String)].collect().toMap
+    assert(cities == Map(
+      1L -> "Chicago O'Hare", 2L -> "Boston", 3L -> "Bostn", 4L -> "Coeur d'Alene",
+      5L -> null, 6L -> null, 7L -> "Dothan", 8L -> "Reno",
+    ))
+  }
+
+  /** The largest method whole-stage codegen generates for `step` over `in`. */
+  private def maxMethodCodeSize(in: DataFrame, step: CleaningStep): Int = {
+    val (stats, fallbacks) = CodegenFallbacks.counting {
+      val out = CleaningStep.apply(spark, in, step)
+      out.collect()
+      codegenStringSeq(out.queryExecution.executedPlan).map(_._3)
+    }
+    assert(stats.nonEmpty && fallbacks == 0)
+    stats.map(_.maxMethodCodeSize).max
+  }
+
+  test("the largest generated method does not grow with a value map's or an FD repair's arm count") {
+    val in = spark.range(2000).selectExpr("CAST(id % 7 AS STRING) AS lhs", "CAST(id AS STRING) AS c")
+    def mapped(arms: Int) =
+      CleaningStep("s", Seq(ColumnRewrite("c", MapValues((0 until arms).map(i => s"$i" -> s"v$i")), "r")))
+    def repaired(arms: Int) =
+      CleaningStep("fd", Seq(ColumnRewrite("c", FdRepair((0 until arms).map(i => FdCase("lhs", s"${i % 7}", s"$i", s"v$i", 1L))), "r")))
+    for ((kind, step) <- Seq("value map" -> mapped _, "FD repair" -> repaired _)) {
+      val (small, large) = (maxMethodCodeSize(in, step(10)), maxMethodCodeSize(in, step(1000)))
+      info(s"$kind: largest method $small bytes at 10 arms, $large at 1,000")
+      assert(large <= small, s"$kind: the largest generated method grew from $small bytes at 10 arms to $large at 1,000")
+    }
   }
 }

@@ -36,7 +36,6 @@ class ProfileCarrySpec extends SparkSpec {
     null, "NaN", "Infinity", "-Infinity", "-0", "0", "1e3", " 12 ", "12", "it's", "O'Brien",
     "😀", "�", "a", "ab", "",
   )
-  private val value   = Gen.oneOf(pool)
   private val nonNull = Gen.oneOf(pool.filter(_ != null))
   private val bound = Gen.option(Gen.oneOf(-1.0, 0.0, 12.0, 100.0, 1000.0))
 
@@ -62,7 +61,8 @@ class ProfileCarrySpec extends SparkSpec {
     val clamp = Gen.zip(bound, bound).map { case (lo, hi) => RangeClamp(lo, hi) }
     if (col == "qty") clamp
     else Gen.oneOf(
-      Gen.listOf(Gen.zip(nonNull, value)).map(MapValues(_)),
+      // A value map's keys are distinct and it maps to no NULL.
+      Gen.listOf(Gen.zip(nonNull, nonNull)).map(m => MapValues(m.distinctBy(_._1))),
       Gen.someOf(pool.filter(_ != null)).map(vs => MapToNull(vs.toSeq)),
       clamp,
       fdRepair(rows, col),

@@ -1,6 +1,7 @@
 package repro.util
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.util.SqlGen.Dialect
 
 class SqlGenSpec extends AnyFunSuite {
 
@@ -12,43 +13,41 @@ class SqlGenSpec extends AnyFunSuite {
   test("identAnsi double-quotes") { assert(SqlGen.identAnsi("col") == "\"col\"") }
   test("identAnsi escapes double quotes") { assert(SqlGen.identAnsi("a\"b") == "\"a\"\"b\"") }
 
-  test("caseWhenMap with empty mapping is the bare column") {
-    assert(SqlGen.caseWhenMap("c", Seq.empty) == "`c`")
+  test("mapLookup with empty mapping is the bare column") {
+    assert(SqlGen.mapLookup("c", Seq.empty, Dialect.Spark) == "`c`")
+    assert(SqlGen.mapLookup("c", Seq.empty, Dialect.DuckDb) == "\"c\"")
   }
-  test("caseWhenMap renders WHEN/THEN pairs and ELSE") {
-    val sql = SqlGen.caseWhenMap("c", Seq("bad" -> "good"))
-    assert(sql == "CASE WHEN `c` = 'bad' THEN 'good' ELSE `c` END")
+  test("mapLookup renders a COALESCE over a lookup in a Spark map literal") {
+    val sql = SqlGen.mapLookup("c", Seq("bad" -> "good"), Dialect.Spark)
+    assert(sql == "COALESCE(element_at(map('bad', 'good'), `c`), `c`)")
   }
-  test("caseWhenMap renders multiple mappings in order") {
-    val sql = SqlGen.caseWhenMap("c", Seq("a" -> "b", "x" -> "y"))
-    assert(sql.indexOf("'a'") < sql.indexOf("'x'"))
+  test("mapLookup keeps the mapping's order and quotes every value") {
+    val sql = SqlGen.mapLookup("c", Seq("a" -> "b", "O'Hare" -> "y"), Dialect.Spark)
+    assert(sql == "COALESCE(element_at(map('a', 'b', 'O''Hare', 'y'), `c`), `c`)")
   }
-  test("caseWhenMap maps to NULL when target is null") {
-    assert(SqlGen.caseWhenMap("c", Seq("bad" -> null)).contains("THEN NULL"))
+  test("mapLookup renders DuckDB's MAP literal and list index") {
+    val sql = SqlGen.mapLookup("c", Seq("bad" -> "good", "x" -> "y"), Dialect.DuckDb)
+    assert(sql == "COALESCE(element_at(MAP {'bad': 'good', 'x': 'y'}, \"c\")[1], \"c\")")
   }
   test("caseWhenNull renders IN list") {
-    val sql = SqlGen.caseWhenNull("c", Seq("N/A", "-"))
+    val sql = SqlGen.caseWhenNull("c", Seq("N/A", "-"), Dialect.Spark)
     assert(sql == "CASE WHEN `c` IN ('N/A', '-') THEN NULL ELSE `c` END")
   }
   test("caseWhenNull with no values is the bare column") {
-    assert(SqlGen.caseWhenNull("c", Seq.empty) == "`c`")
+    assert(SqlGen.caseWhenNull("c", Seq.empty, Dialect.Spark) == "`c`")
   }
   test("caseWhenRange with both bounds") {
-    val sql = SqlGen.caseWhenRange("c", Some(0.0), Some(10.0))
+    val sql = SqlGen.caseWhenRange("c", Some(0.0), Some(10.0), Dialect.Spark)
     assert(sql.contains("< 0.0") && sql.contains("> 10.0") && sql.contains("THEN NULL"))
   }
   test("caseWhenRange with only an upper bound") {
-    val sql = SqlGen.caseWhenRange("c", None, Some(5.0))
+    val sql = SqlGen.caseWhenRange("c", None, Some(5.0), Dialect.Spark)
     assert(!sql.contains("<") && sql.contains("> 5.0"))
   }
   test("caseWhenRange with no bounds is the bare column") {
-    assert(SqlGen.caseWhenRange("c", None, None) == "`c`")
+    assert(SqlGen.caseWhenRange("c", None, None, Dialect.Spark) == "`c`")
   }
   test("comment flattens newlines") {
     assert(SqlGen.comment("a\nb") == "-- a b")
-  }
-  test("caseWhenMap honours a custom quote dialect") {
-    val sql = SqlGen.caseWhenMap("c", Seq("bad" -> "good"), SqlGen.identAnsi)
-    assert(sql.contains("\"c\"") && !sql.contains("`"))
   }
 }
