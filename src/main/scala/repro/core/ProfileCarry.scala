@@ -2,11 +2,11 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.InternalRow
-import org.apache.spark.sql.catalyst.expressions.{Alias, AttributeSet, BindReferences, BoundReference, Cast, EvalMode}
+import org.apache.spark.sql.catalyst.expressions.{Alias, AttributeSet, BindReferences, BoundReference, Cast, EvalMode, Expression, Literal}
 import org.apache.spark.sql.catalyst.plans.logical.Project
 import org.apache.spark.sql.types.{DoubleType, StringType}
 import org.apache.spark.unsafe.types.UTF8String
-import repro.profile.{ColumnProfile, TableProfile, ValueCount}
+import repro.profile.{ColumnProfile, TableProfile}
 
 /** The [[TableProfile]] of a table after a cleaning step, derived on the
   * driver from the profile before it and the applied step's analysed plan:
@@ -45,7 +45,7 @@ object ProfileCarry {
                 Option.when(disjoint(cases))(valueCounts(before) ++ cases.flatMap(k => Seq(k.badRhs -> -k.rows, k.target -> k.rows)))
               case _ =>
                 Option.when(expr.references.subsetOf(AttributeSet(in))) {
-                  val bound = BindReferences.bindReference(expr, Seq(in))
+                  val bound = BindReferences.bindReference(folded(expr), Seq(in))
                   valueCounts(before).map { case (v, n) => (Option(bound.eval(row(v))).map(_.toString).orNull, n) }
                 }
             }
@@ -67,39 +67,27 @@ object ProfileCarry {
       arms.map(_.lhsCol).distinct.size == 1 && arms.map(_.lhsVal).distinct.size == arms.size
     }
 
+  /** `e` with each foldable subtree evaluated once into a literal, as Spark's
+    * constant folding does, so a value map's literal map is built once and
+    * not once per value it is evaluated on.
+    */
+  private def folded(e: Expression): Expression =
+    e.transformDown { case f if f.foldable => Literal.create(f.eval(), f.dataType) }
+
   /** One string value as the row an expression bound to ordinal 0 reads. */
   private def row(v: String): InternalRow = InternalRow(UTF8String.fromString(v))
 
   /** Spark's `TRY_CAST(v AS DOUBLE)` of the string at ordinal 0. */
   private val number = Cast(BoundReference(0, StringType, nullable = true), DoubleType, evalMode = EvalMode.TRY)
 
-  /** Spark's string order: UTF-8 bytes, not UTF-16 code units. */
-  private val sparkOrder: Ordering[String] = (a, b) => UTF8String.fromString(a).compareTo(UTF8String.fromString(b))
-
   /** The profile of a column holding `counts` (value, rows), as
-    * [[TableProfile.of]] would measure it: values merged, ranked by count
-    * descending then value, numbers parsed by Spark's `TRY_CAST`, and NaN
-    * above every other number as in Spark's `min`/`max`.
+    * [[TableProfile.of]] would measure it: values merged and numbers parsed
+    * by Spark's `TRY_CAST`, then ranked by [[ColumnProfile.of]].
     */
   private def reprofile(name: String, counts: Seq[(String, Long)], maxValues: Int): ColumnProfile = {
-    val nulls = counts.collect { case (null, n) => n }.sum
-    val values = counts
-      .filter(_._1 != null)
-      .groupMapReduce(_._1)(_._2)(_ + _)
-      .collect { case (v, n) if n > 0 => ValueCount(v, n) }
-      .toSeq
-      .sorted(Ordering.by((v: ValueCount) => (-v.count, v.value))(Ordering.Tuple2(Ordering.Long, sparkOrder)))
-    val nums = values.flatMap(v => Option(number.eval(row(v.value))).map(d => (d.asInstanceOf[Double], v.count)))
-    val nonNull = values.map(_.count).sum
-    ColumnProfile(
-      name = name,
-      rowCount = nulls + nonNull,
-      nullCount = nulls,
-      distinctCount = values.size,
-      frequentValues = values.take(maxValues),
-      minNumeric = nums.map(_._1).minOption(Ordering.Double.TotalOrdering),
-      maxNumeric = nums.map(_._1).maxOption(Ordering.Double.TotalOrdering),
-      numericParseRate = if (nonNull == 0) 0.0 else nums.map(_._2).sum.toDouble / nonNull,
-    )
+    val values = counts.groupMapReduce(_._1)(_._2)(_ + _).collect {
+      case (v, n) if n > 0 => (v, n, Option(number.eval(row(v))).map(_.asInstanceOf[Double]))
+    }
+    ColumnProfile.of(name, values, maxValues)
   }
 }

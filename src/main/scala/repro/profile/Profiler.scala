@@ -1,12 +1,25 @@
 package repro.profile
 
-import org.apache.spark.sql.{Column, DataFrame, functions => F}
+import org.apache.spark.sql.{Column, DataFrame, Row, functions => F}
 import org.apache.spark.sql.catalyst.expressions.Cast
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.types.{ByteType, DataType, DoubleType, IntegerType, LongType, ShortType, StringType, StructField}
+import org.apache.spark.unsafe.types.UTF8String
 
 /** A value with its occurrence count, from a column's frequency profile. */
 final case class ValueCount(value: String, count: Long)
+
+object ValueCount {
+
+  /** Spark's string order: UTF-8 bytes, not UTF-16 code units. */
+  private val sparkOrder: Ordering[String] = (a, b) => UTF8String.fromString(a).compareTo(UTF8String.fromString(b))
+
+  /** Most frequent first, ties by value in Spark's string order: the order of
+    * a column's frequent values, of an FD group's rhs values and of the
+    * violating groups an FD score keeps.
+    */
+  val ranked: Ordering[ValueCount] = (a, b) =>
+    if (a.count != b.count) java.lang.Long.compare(b.count, a.count) else sparkOrder.compare(a.value, b.value)
+}
 
 /** Profile of a single column (paper §2: "Cocoon leverages traditional
   * statistical methods to profile the tables ... and includes these in the
@@ -26,9 +39,35 @@ final case class ColumnProfile(
   def uniqueRatio: Double  = if (rowCount == 0) 0.0 else distinctCount.toDouble / rowCount
 }
 
+object ColumnProfile {
+
+  /** The profile of column `name` from its (value, rows, number) table, one
+    * entry per distinct value, the null value included: the `maxValues` most
+    * frequent non-null values in [[ValueCount.ranked]] order, and the
+    * numbers' min and max (NaN above every other number, as in Spark's `min`
+    * and `max`) and parse rate over the non-null rows.
+    */
+  def of(name: String, values: Iterable[(String, Long, Option[Double])], maxValues: Int): ColumnProfile = {
+    val (nulls, present) = values.partition(_._1 == null)
+    val nullCount = nulls.map(_._2).sum
+    val nonNull   = present.map(_._2).sum
+    val nums      = present.collect { case (_, n, Some(d)) => (d, n) }
+    ColumnProfile(
+      name = name,
+      rowCount = nullCount + nonNull,
+      nullCount = nullCount,
+      distinctCount = present.size,
+      frequentValues = present.map { case (v, n, _) => ValueCount(v, n) }.toSeq.sorted(ValueCount.ranked).take(maxValues),
+      minNumeric = nums.map(_._1).minOption(Ordering.Double.TotalOrdering),
+      maxNumeric = nums.map(_._1).maxOption(Ordering.Double.TotalOrdering),
+      numericParseRate = if (nonNull == 0) 0.0 else nums.map(_._2).sum.toDouble / nonNull,
+    )
+  }
+}
+
 /** Profile of one table state: a [[ColumnProfile]] for every column, each
-  * keeping its `maxValues` most frequent values (most frequent first,
-  * ties by value). A stage reads the prefix it needs.
+  * keeping its `maxValues` most frequent values in [[ValueCount.ranked]]
+  * order. A stage reads the prefix it needs.
   */
 final case class TableProfile(rowCount: Long, columns: Map[String, ColumnProfile], maxValues: Int) {
 
@@ -46,15 +85,16 @@ object TableProfile {
   /** Values kept per column by default: the longest prefix a stage reads. */
   val MaxValues = 3000
 
-  /** Profile every column with one query over the melted table: group by
-    * (column, value), then rank each column's values and aggregate its counts
-    * in Spark, so only the top `maxValues` values per column reach the driver.
-    * The melted rows are coalesced into one partition before the group-by,
-    * which the group-by and every window then read without an exchange: the
-    * query is one Spark job. A string column's numeric view is its value's
-    * `TRY_CAST` to double, taken once per distinct value after the group-by;
-    * any other column's is the typed `TRY_CAST` of each cell, NULL where
-    * Spark cannot cast the type to double (DATE, BINARY, nested types).
+  /** Profile every column with one query over the melted table: a count of
+    * each (column, value), which the driver collects and ranks into each
+    * column's profile with [[ColumnProfile.of]]. Every distinct value reaches
+    * the driver; the profile keeps the top `maxValues` of each column. The
+    * melted rows are coalesced into one partition before the group-by, which
+    * then reads them without an exchange: the query is one Spark job. A
+    * string column's numeric view is its value's `TRY_CAST` to double, taken
+    * once per distinct value after the group-by; any other column's is the
+    * typed `TRY_CAST` of each cell, NULL where Spark cannot cast the type to
+    * double (DATE, BINARY, nested types).
     */
   def of(df: DataFrame, maxValues: Int = MaxValues): TableProfile = {
     val cols = df.columns.toSeq
@@ -69,49 +109,19 @@ object TableProfile {
         .as(Seq("column", "value", "typed"))
     )
     val textCols = fields.collect { case f if f.dataType.isInstanceOf[StringType] => f.name }
-    val v = F.col("value"); val n = F.col("n"); val num = F.col("num")
-    // One sort: the column aggregates span the whole ranked partition.
-    val byRank = Window.partitionBy("column").orderBy(v.isNull, n.desc, v.asc)
-    val byCol  = byRank.rowsBetween(Window.unboundedPreceding, Window.unboundedFollowing)
     val rows = melted
       .coalesce(1)
       .groupBy("column", "value")
       .agg(
         F.count(F.lit(1)).as("n"),
-        F.when(F.col("column").isin(textCols: _*), v.try_cast("double")).otherwise(F.max("typed")).as("num"),
+        F.when(F.col("column").isin(textCols: _*), F.col("value").try_cast("double")).otherwise(F.max("typed")).as("num"),
       )
-      .select(
-        F.col("column"), v, n,
-        F.sum(n).over(byCol).as("rows"),
-        F.sum(F.when(v.isNull, n).otherwise(0L)).over(byCol).as("nulls"),
-        F.count(v).over(byCol).as("distinct"),
-        F.min(num).over(byCol).as("minn"),
-        F.max(num).over(byCol).as("maxn"),
-        F.sum(F.when(v.isNotNull && num.isNotNull, n).otherwise(0L)).over(byCol).as("numOk"),
-        // Non-null values first, so rank 1 always exists and carries the
-        // column's aggregates even when the column is all null.
-        F.row_number().over(byRank).as("rank"),
-      )
-      .filter(F.col("rank") <= math.max(maxValues, 1))
       .collect()
       .groupBy(_.getString(0))
 
     val profiles = cols.map { c =>
-      val ranked = rows.getOrElse(c, Array.empty).sortBy(_.getInt(9))
-      c -> ranked.headOption.fold(ColumnProfile(c, 0L, 0L, 0L, Seq.empty, None, None, 0.0)) { h =>
-        val nonNull = h.getLong(3) - h.getLong(4)
-        ColumnProfile(
-          name = c,
-          rowCount = h.getLong(3),
-          nullCount = h.getLong(4),
-          distinctCount = h.getLong(5),
-          frequentValues = ranked.iterator.filterNot(_.isNullAt(1)).take(maxValues)
-            .map(r => ValueCount(r.getString(1), r.getLong(2))).toSeq,
-          minNumeric = Option(h.get(6)).map(_.asInstanceOf[Double]),
-          maxNumeric = Option(h.get(7)).map(_.asInstanceOf[Double]),
-          numericParseRate = if (nonNull == 0) 0.0 else h.getLong(8).toDouble / nonNull,
-        )
-      }
+      val values = rows.getOrElse(c, Array.empty[Row]).map(r => (r.getString(1), r.getLong(2), Option(r.get(3)).map(_.asInstanceOf[Double])))
+      c -> ColumnProfile.of(c, values, maxValues)
     }
     TableProfile(profiles.head._2.rowCount, profiles.toMap, maxValues)
   }
@@ -131,8 +141,8 @@ object TableProfile {
   * and a few corrupted cells per group only dent it proportionally (an
   * entropy-style measure, after [Beskales et al.]). `violatingGroups` counts
   * lhs groups with more than one rhs value; `groups` lists the largest of
-  * them (by size, ties by lhs value), in lhs order, each with its rhs values
-  * most frequent first.
+  * them (by size, ties by lhs value, as [[ValueCount.ranked]] orders them),
+  * in lhs order, each with its rhs values in [[ValueCount.ranked]] order.
   */
 final case class FdScore(
     lhs: String,
@@ -144,10 +154,10 @@ final case class FdScore(
 
 /** Statistical error-detection substrate beyond the [[TableProfile]].
   *
-  * Every measurement is a DataFrame aggregation (Catalyst-executed); nothing
-  * is collected beyond bounded summaries. This is the "statistical detection"
-  * half of every Cocoon issue pipeline; the semantic half consumes these
-  * summaries via the simulated LLM.
+  * Every measurement is one Spark aggregation whose counts the driver
+  * collects and ranks. This is the "statistical detection" half of every
+  * Cocoon issue pipeline; the semantic half consumes these summaries via the
+  * simulated LLM.
   */
 object Profiler {
 
@@ -177,8 +187,9 @@ object Profiler {
     * (pair, lhs value, rhs value) counts — the single-attribute partition
     * refinement of TANE [Huhtala et al.] — keeping up to `maxGroups`
     * violating groups per pair. Returns one [[FdScore]] per pair, in order.
-    * The stacked rows are coalesced into one partition, so the group-by and
-    * the windows run as one Spark job with no exchange.
+    * The stacked rows are coalesced into one partition, so the group-by runs
+    * as one Spark job with no exchange; the driver collects every distinct
+    * (pair, lhs value, rhs value) count and scores each pair from them.
     */
   def scoreFds(df: DataFrame, pairs: Seq[(String, String)], maxGroups: Int): Seq[FdScore] = {
     if (pairs.isEmpty) return Seq.empty
@@ -187,49 +198,26 @@ object Profiler {
         Seq(F.lit(i), F.col(l).cast("string"), F.col(r).cast("string"))
       }: _*).as(Seq("pair", "l", "r"))
     )
-    val l = F.col("l"); val r = F.col("r"); val n = F.col("n")
-    val d = F.col("d"); val pos = F.col("pos"); val grank = F.col("grank")
-    // One sort per window, its aggregates over the whole ranked partition: plurality
-    // rhs first (pos 1); violating groups first, then by (size desc, lhs value asc).
-    val byPos   = Window.partitionBy("pair", "l").orderBy(n.desc, r.asc)
-    val byGroup = Window.partitionBy("pair").orderBy(F.when(d > 1, 0).otherwise(1), F.col("sz").desc, l.asc)
-    val group   = byPos.rowsBetween(Window.unboundedPreceding, Window.unboundedFollowing)
-    val pairWin = byGroup.rowsBetween(Window.unboundedPreceding, Window.unboundedFollowing)
     val rows = stacked
-      .filter(l.isNotNull && r.isNotNull)
+      .filter(F.col("l").isNotNull && F.col("r").isNotNull)
       .coalesce(1)
       .groupBy("pair", "l", "r")
-      .agg(F.count(F.lit(1)).as("n"))
-      .select(
-        F.col("pair"), l, r, n,
-        F.sum(n).over(group).as("sz"),
-        F.count(F.lit(1)).over(group).as("d"),
-        F.row_number().over(byPos).as("pos"),
-      )
-      .select(
-        F.col("pair"), l, r, n, d, pos,
-        F.sum(n).over(pairWin).as("total"),
-        F.sum(F.when(pos === 1, n).otherwise(0L)).over(pairWin).as("agree"),
-        F.sum(F.when(pos === 1 && d > 1, 1L).otherwise(0L)).over(pairWin).as("viol"),
-        F.dense_rank().over(byGroup).as("grank"),
-      )
-      // The capped violating groups, plus one row per pair for its totals.
-      .filter((d > 1 && grank <= maxGroups) || (grank === 1 && pos === 1))
+      .count()
       .collect()
       .groupBy(_.getInt(0))
 
     pairs.zipWithIndex.map { case ((lhs, rhs), i) =>
-      rows.get(i).fold(FdScore(lhs, rhs, 0.0, 0L, Seq.empty)) { rs =>
-        val h = rs.head
-        val groups = rs.toSeq
-          .filter(_.getLong(4) > 1)
-          .sortBy(_.getInt(5))
-          .groupBy(_.getString(1))
-          .toSeq
-          .sortBy(_._1)
-          .map { case (lv, vs) => (lv, vs.map(x => ValueCount(x.getString(2), x.getLong(3)))) }
-        FdScore(lhs, rhs, h.getLong(7).toDouble / h.getLong(6), h.getLong(8), groups)
-      }
+      // Each lhs group's rhs values, most frequent first: the head is its plurality.
+      val groups = rows.getOrElse(i, Array.empty[Row]).toSeq
+        .groupMap(_.getString(1))(x => ValueCount(x.getString(2), x.getLong(3)))
+        .map { case (lv, vs) => lv -> vs.sorted(ValueCount.ranked) }
+      val total = groups.values.map(_.map(_.count).sum).sum
+      val agree = groups.values.map(_.head.count).sum
+      val violating = groups.filter(_._2.size > 1)
+      // The largest violating groups, size ties by lhs value, listed in lhs order.
+      val kept = violating.map { case (lv, vs) => ValueCount(lv, vs.map(_.count).sum) }.toSeq.sorted(ValueCount.ranked).take(maxGroups)
+      val strength = if (total == 0) 0.0 else agree.toDouble / total
+      FdScore(lhs, rhs, strength, violating.size.toLong, kept.map(_.value).sorted.map(lv => lv -> groups(lv)))
     }
   }
 }

@@ -35,9 +35,16 @@ class ProfilerSpec extends SparkSpec {
     assert(p.frequentValues.map(_.count) == Seq(3L, 3L))
   }
 
+  // U+FFFD sorts before U+1F600 in Spark's UTF-8 byte order, after it in UTF-16.
+  private val replacement = "\uFFFD"
+  private val grin        = "\uD83D\uDE00"
+
   test("profileColumn caps the value list") {
     assert(TableProfile.of(df, maxValues = 2)("v").frequentValues.size == 2)
     assert(profile.frequentValues("v", 2) == profile("v").frequentValues.take(2))
+    // A cap inside a count tie keeps the value first in Spark's order.
+    val tied = Seq(grin, replacement, grin, replacement, "a").toDF("x")
+    assert(TableProfile.of(tied, maxValues = 1)("x").frequentValues == Seq(ValueCount(replacement, 2)))
   }
 
   test("profileColumn numeric stats over the parseable subset") {
@@ -165,12 +172,18 @@ class ProfilerSpec extends SparkSpec {
     assert(jobsAndExchanges(Profiler.scoreFds(d, pairs, 10)) == (1L, 0L))
   }
 
-  test("scoreFds sorts once per window: two windows over two sorts") {
+  test("neither statistics query plans a window or a sort: one job, no exchange") {
     val d = Seq(("a", "1", "x"), ("a", "2", "x"), ("b", "3", "y")).toDF("l", "r", "s")
-    val (_, plans) = executedPlans(Profiler.scoreFds(d, Seq("l" -> "r", "s" -> "l"), 10))
-    val windows = collectNodes(plans) { case w: WindowExec => w }.size
-    val sorts   = collectNodes(plans) { case s: SortExec => s }.size
-    assert((windows, sorts) == (2, 2), s"$windows windows and $sorts sorts")
+    for ((name, query) <- Seq[(String, () => Any)](
+        "TableProfile.of"   -> (() => TableProfile.of(d)),
+        "Profiler.scoreFds" -> (() => Profiler.scoreFds(d, Seq("l" -> "r", "s" -> "l"), 10)),
+      )) {
+      val ((_, jobs), plans) = executedPlans(countingJobs(query()))
+      val windows   = collectNodes(plans) { case w: WindowExec => w }.size
+      val sorts     = collectNodes(plans) { case s: SortExec => s }.size
+      val exchanges = collectNodes(plans) { case e: ShuffleExchangeExec => e }.size
+      assert((jobs, exchanges, windows, sorts) == (1L, 0, 0, 0), s"$name: $jobs jobs, $exchanges exchanges, $windows windows, $sorts sorts")
+    }
   }
 
   test("scoreFds on a pair with no non-null rows scores zero") {
@@ -199,5 +212,7 @@ class ProfilerSpec extends SparkSpec {
     val rows = (0 until 10).flatMap(i => Seq((s"g$i", "1"), (s"g$i", "2"))) ++ Seq(("g9", "3"))
     val d = rows.toDF("l", "r")
     assert(scoreFd(d, maxGroups = 4).groups.map(_._1) == Seq("g0", "g1", "g2", "g9"))
+    val tied = Seq((grin, "1"), (grin, "2"), (replacement, "1"), (replacement, "2")).toDF("l", "r")
+    assert(scoreFd(tied, maxGroups = 1).groups == Seq(replacement -> Seq(ValueCount("1", 1), ValueCount("2", 1))))
   }
 }

@@ -72,19 +72,21 @@ object ReferenceProfiler {
     (if (total == 0) 0.0 else agree.toDouble / total, viol)
   }
 
-  /** Every violating lhs group of lhs → rhs, in lhs order, with its rhs
-    * values most frequent first. Uncapped: the old cap picked among groups
-    * tied in size arbitrarily.
+  /** The `maxGroups` largest violating lhs groups of lhs → rhs, size ties by
+    * lhs value in Spark's order, listed in lhs order, each with its rhs
+    * values most frequent first.
     */
-  def fdViolatingGroups(df: DataFrame, lhs: String, rhs: String): Seq[(String, Seq[ValueCount])] = {
+  def fdViolatingGroups(df: DataFrame, lhs: String, rhs: String, maxGroups: Int): Seq[(String, Seq[ValueCount])] = {
     val pairs = df
       .filter(F.col(lhs).isNotNull && F.col(rhs).isNotNull)
       .groupBy(F.col(lhs).cast("string").as("l"), F.col(rhs).cast("string").as("r"))
       .agg(F.count(F.lit(1)).as("n"))
     val bad = pairs
       .groupBy("l")
-      .agg(F.countDistinct("r").as("d"))
+      .agg(F.countDistinct("r").as("d"), F.sum("n").as("sz"))
       .filter(F.col("d") > 1)
+      .orderBy(F.desc("sz"), F.asc("l"))
+      .limit(maxGroups)
       .select("l")
     bad
       .join(pairs, "l")

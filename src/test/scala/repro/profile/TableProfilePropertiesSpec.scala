@@ -13,10 +13,12 @@ import repro.{Seeded, SparkSpec}
 /** The one-pass [[TableProfile]] and [[Profiler.scoreFds]] agree exactly with
   * the per-column and per-pair queries they replace ([[ReferenceProfiler]]),
   * on small random tables with nulls, numeric and non-numeric strings,
-  * quoted values, tied counts, an all-null column, a unique key and typed
-  * columns: integer, double (NaN, both zeros, both infinities), float,
-  * boolean, decimal, date and timestamp. The profile casts a string column
-  * once per distinct value and the reference once per cell.
+  * quoted values, values whose UTF-8 and UTF-16 orders differ, tied counts
+  * with value and group caps that fall inside a tie, an all-null column, a
+  * unique key and typed columns: integer, double (NaN, both zeros, both
+  * infinities), float, boolean, decimal, date and timestamp. The profile
+  * casts a string column once per distinct value and the reference once per
+  * cell.
   */
 class TableProfilePropertiesSpec extends SparkSpec {
 
@@ -34,9 +36,10 @@ class TableProfilePropertiesSpec extends SparkSpec {
     StructField("ts", TimestampType),
   ))
 
-  // Small pools, so counts tie often.
-  private val word  = Gen.oneOf[String](null, "a", "b", "it's", "O'Brien", "", "B", "ab")
-  private val mixed = Gen.oneOf[String](null, "1", "2.5", "-3", "1e2", "x1", "12 oz", "'7'", "2.5")
+  // Small pools, so counts tie often. U+FFFD and U+1F600 sort one way in
+  // Spark's UTF-8 byte order and the other in UTF-16 code units.
+  private val word  = Gen.oneOf[String](null, "a", "b", "it's", "O'Brien", "", "B", "ab", "\uFFFD", "\uD83D\uDE00")
+  private val mixed = Gen.oneOf[String](null, "1", "2.5", "-3", "1e2", "x1", "12 oz", "'7'", "2.5", "\uFFFD", "\uD83D\uDE00")
   private val int   = Gen.oneOf[Integer](null, 0, 1, 7, -2)
   private val dbl = Gen.oneOf[java.lang.Double](
     null, Double.NaN, -0.0, 0.0, Double.PositiveInfinity, Double.NegativeInfinity, 2.5, -1e300)
@@ -56,6 +59,33 @@ class TableProfilePropertiesSpec extends SparkSpec {
     rows <- Gen.listOfN(n, row)
   } yield rows.zipWithIndex.map { case (r, k) => r(k.toLong) }
 
+  /** Caps that fall inside a tie of `counts`: each keeps the first of two
+    * equal counts, ranked most frequent first, and drops the second.
+    */
+  private def tieCaps(counts: Iterable[Long]): Seq[Int] = {
+    val ranked = counts.toSeq.sorted(Ordering[Long].reverse)
+    (1 until ranked.size).filter(k => ranked(k - 1) == ranked(k))
+  }
+
+  /** A cap inside a tie of `counts` when there is one, else one of `others`. */
+  private def capIn(counts: Iterable[Long], others: Int*): Gen[Int] = tieCaps(counts) match {
+    case Seq() => Gen.oneOf(others)
+    case ties  => Gen.frequency(3 -> Gen.oneOf(ties), 1 -> Gen.oneOf(others))
+  }
+
+  /** The row counts of `col`'s non-null values. */
+  private def valueCounts(rows: Seq[Row], col: String): Iterable[Long] = {
+    val i = schema.fieldIndex(col)
+    rows.filterNot(_.isNullAt(i)).groupBy(_.get(i)).values.map(_.size.toLong)
+  }
+
+  /** The sizes of the violating groups of `lhs` → `rhs`. */
+  private def violatingSizes(rows: Seq[Row], lhs: String, rhs: String): Iterable[Long] = {
+    val (l, r) = (schema.fieldIndex(lhs), schema.fieldIndex(rhs))
+    rows.filter(x => !x.isNullAt(l) && !x.isNullAt(r)).groupBy(_.get(l)).values
+      .collect { case g if g.map(_.get(r)).distinct.size > 1 => g.size.toLong }
+  }
+
   /** `p` with its numeric min and max as text, so that NaN equals NaN; -0.0
     * reads as 0.0, since Spark's `min` and `max` may return either zero.
     */
@@ -63,26 +93,34 @@ class TableProfilePropertiesSpec extends SparkSpec {
     (p.copy(minNumeric = None, maxNumeric = None), Seq(p.minNumeric, p.maxNumeric).map(_.map(d => if (d == 0.0) "0.0" else d.toString)))
 
   test("TableProfile equals the per-column profile queries") {
-    Seeded.forAll(Gen.zip(table, Gen.oneOf(1, 2, 3, 1000)), n = 25) { case (rows, cap) =>
+    val gen = for { rows <- table; cap <- capIn(valueCounts(rows, "word"), 1, 2, 3, 1000) } yield (rows, cap)
+    var straddled = 0
+    Seeded.forAll(gen, n = 25) { case (rows, cap) =>
+      if (tieCaps(valueCounts(rows, "word")).contains(cap)) straddled += 1
       val df = spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), schema)
       val profile = TableProfile.of(df, cap)
       assert(profile.columns.keySet == schema.fieldNames.toSet)
       assert(profile.rowCount == rows.size)
       for (c <- schema.fieldNames)
-        assert(comparable(profile(c)) == comparable(ReferenceProfiler.profileColumn(df, c, cap)), s"column $c of $rows")
+        assert(comparable(profile(c)) == comparable(ReferenceProfiler.profileColumn(df, c, cap)), s"column $c of $rows at cap $cap")
     }
+    assert(straddled >= 10, s"only $straddled of 25 caps fell inside a count tie")
   }
 
   test("scoreFds equals the per-pair FD queries") {
     val pairs = Seq("word" -> "mixed", "mixed" -> "word", "word" -> "empty", "qty" -> "word")
-    Seeded.forAll(table, n = 15) { rows =>
+    val gen = for { rows <- table; cap <- capIn(violatingSizes(rows, "word", "mixed"), 1000) } yield (rows, cap)
+    var straddled = 0
+    Seeded.forAll(gen, n = 15) { case (rows, cap) =>
+      if (tieCaps(violatingSizes(rows, "word", "mixed")).contains(cap)) straddled += 1
       val df = spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), schema)
-      val fds = Profiler.scoreFds(df, pairs, maxGroups = 1000)
+      val fds = Profiler.scoreFds(df, pairs, maxGroups = cap)
       for (((lhs, rhs), fd) <- pairs.zip(fds)) {
         assert((fd.lhs, fd.rhs) == (lhs, rhs))
         assert((fd.strength, fd.violatingGroups) == ReferenceProfiler.scoreFd(df, lhs, rhs), s"$lhs → $rhs of $rows")
-        assert(fd.groups == ReferenceProfiler.fdViolatingGroups(df, lhs, rhs), s"$lhs → $rhs of $rows")
+        assert(fd.groups == ReferenceProfiler.fdViolatingGroups(df, lhs, rhs, cap), s"$lhs → $rhs of $rows at cap $cap")
       }
     }
+    assert(straddled >= 5, s"only $straddled of 15 group caps fell inside a size tie")
   }
 }
