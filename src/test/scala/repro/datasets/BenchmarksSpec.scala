@@ -26,6 +26,43 @@ class BenchmarksSpec extends SparkSpec {
     assert(unlabeled == 0, s"changed cells without labels: $unlabeled")
   }
 
+  /** SHA-256 of a table's rows, each rendered as its values joined by
+    * U+0001, sorted and joined by newlines: a byte-level pin that does not
+    * depend on partition order.
+    */
+  private def rowsHash(df: org.apache.spark.sql.DataFrame): String =
+    repro.Sha256(df.collect().map(_.toSeq.map(v => String.valueOf(v)).mkString("\u0001")).sorted.mkString("\n"))
+
+  // (dirty, clean, labels) hashes at each generator's default seed.
+  private val pinned = Seq(
+    "hospital" -> (() => hospital, (
+      "cec39ad387a3740c0b117ac40a4f2951c3b41274b3b8431a689f7457eb1eaf41",
+      "3581da47a553a97508cd751cbc009c2ea45bdbdfbba64dc8def9a5d9c3a44879",
+      "8d97d34531a2d309bde2a21299c12486b054de588080b01a79e01763bab12854")),
+    "flights" -> (() => flights, (
+      "f5719101daccfc1141eac4521d484706649239b6dee807545735c96d6db0cdf0",
+      "d870a5d688237530fee9929111f71d1faf58799f241504ac800e61aae433fe68",
+      "a29567bccf4199beeae4be969197e4409b80de667136113f0dcee1662b48696d")),
+    "beers" -> (() => beers, (
+      "a3021a44e471807590c3714eb3379264f6e0d08e83969ffed4a8d4fc3216814b",
+      "d7075da0e7b2f0fcb122c3147c3dfde2222accb3669139bb3d15c10a282a3098",
+      "48e1046ac562a8f400c79a8fc793d8571da86a0a75d9fa71c6f0fa42bee42cbd")),
+    "rayyan" -> (() => rayyan, (
+      "de3045e1eaf51c3737d011c35044eee638900bac085ac8bb71c8b37e22094765",
+      "ed95a380da4fb54a91adbc4773c63f04327d86e5dff1f602ad6d9ccdc08642fa",
+      "2af7286641a2264b56978d14908fc9dd0724d8c87bf1a3112117bca24a7a3302")),
+    "movies" -> (() => movies, (
+      "399ab8f839e4b33178e7386036513cbbcdd2e67e2a4bb26222cce35ee38c5883",
+      "7878ebe0b0c8c71b54f4488905801dd2dcf1adc2718720d6bda0a3aad1179a00",
+      "8dff4bd48034e05b5e8075f60870ebdb5de9588bb2ba2780099b9e554d378833")),
+  )
+  for ((name, (ds, (dirty, clean, labels))) <- pinned)
+    test(s"$name dirty, clean and label rows are pinned at the default seed") {
+      assert(rowsHash(ds().dirty) == dirty)
+      assert(rowsHash(ds().clean) == clean)
+      assert(rowsHash(ds().labels) == labels)
+    }
+
   // ---- Hospital
 
   test("hospital has 1000 rows and the declared columns") {
