@@ -14,15 +14,18 @@ import repro.llm.Knowledge
   * fixing erroneous ones. Files >2MB are truncated to the first 1000 rows
   * (the paper's Movies footnote).
   */
-final class CleanAgentLite(sampleThreshold: Int = 5000, sampleSize: Int = 1000) extends CleaningSystem {
+final class CleanAgentLite extends CleaningSystem {
 
   override def name: String = "CleanAgent"
+
+  private val SampleThreshold = 5000
+  private val SampleSize      = 1000
 
   private val phonePat = """^(\d{3})-(\d{3})-(\d{4})$""".r
 
   override def clean(spark: SparkSession, ds: BenchDataset): DataFrame = {
     val t = LocalTable.collect(ds)
-    val limit = if (t.n > sampleThreshold) sampleSize else t.n
+    val limit = if (t.n > SampleThreshold) SampleSize else t.n
 
     for (c <- t.columns) {
       val values = (0 until limit).flatMap(r => Option(t.value(r, c)))

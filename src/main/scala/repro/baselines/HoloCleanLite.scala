@@ -12,24 +12,23 @@ import repro.eval.{CleaningSystem, LocalTable}
   * probabilistic model under co-occurrence features.
   *
   * Two paper-documented behaviours are preserved:
-  *   - on datasets larger than `sampleThreshold` rows it works on the first
-  *     `sampleSize` rows only (the Movies OOM footnote);
+  *   - on datasets larger than 5,000 rows it works on the first 1,000 rows
+  *     only (the Movies OOM footnote);
   *   - it has no semantic gate, so a name-keyed constraint repairs the
   *     "wrong side" of a violation (the Beers low-precision failure), and it
   *     repairs legitimate in-group minorities (the Movies sample).
   */
-final class HoloCleanLite(
-    sampleThreshold: Int = 5000,
-    sampleSize: Int = 1000,
-    majorityShare: Double = 0.5,
-) extends CleaningSystem {
+final class HoloCleanLite extends CleaningSystem {
 
   override def name: String = "HoloClean"
 
+  private val SampleThreshold = 5000
+  private val SampleSize      = 1000
+  private val MajorityShare   = 0.5
+
   override def clean(spark: SparkSession, ds: BenchDataset): DataFrame = {
-    val full = LocalTable.collect(ds)
-    val limit = if (full.n > sampleThreshold) sampleSize else full.n
-    val t = full.copy()
+    val t = LocalTable.collect(ds)
+    val limit = if (t.n > SampleThreshold) SampleSize else t.n
 
     // Repairs computed from the (possibly sampled) dirty state, then applied.
     val repairs = scala.collection.mutable.Map.empty[(Int, String), String]
@@ -47,7 +46,7 @@ final class HoloCleanLite(
           if (g.size > 1) {
             val total = g.values.sum
             val (top, topN) = g.maxBy { case (v, n) => (n, v) }
-            if (topN.toDouble / total > majorityShare && rv != top)
+            if (topN.toDouble / total > MajorityShare && rv != top)
               repairs((r, rhs)) = top
           }
         }

@@ -35,9 +35,12 @@ import repro.llm.Knowledge
   * What it structurally cannot fix — identifier typos ("100x4") and unique-
   * text typos (Rayyan titles) — is exactly what requires semantic knowledge.
   */
-final class RahaBaranLite(labelBudget: Int = 20, seed: Long = 7) extends CleaningSystem {
+final class RahaBaranLite extends CleaningSystem {
 
   override def name: String = "Raha+Baran"
+
+  private val LabelBudget = 20
+  private val Seed        = 7L
 
   private sealed trait Rule { def column: String }
   private final case class ExactRule(column: String, from: String, to: String) extends Rule
@@ -99,9 +102,9 @@ final class RahaBaranLite(labelBudget: Int = 20, seed: Long = 7) extends Cleanin
     val t = LocalTable.collect(ds)
 
     // ---- the 20 ground-truth labelled cells (user feedback, as in the paper)
-    val rnd = new Random(seed)
+    val rnd = new Random(Seed)
     val allLabels = ds.labels.select("row_id", "column").collect().map(r => (r.getLong(0), r.getString(1)))
-    val sampled = rnd.shuffle(allLabels.toList.sortBy(l => (l._1, l._2))).take(labelBudget)
+    val sampled = rnd.shuffle(allLabels.toList.sortBy(l => (l._1, l._2))).take(LabelBudget)
     val idOfRow = t.rowIds.zipWithIndex.toMap
     val cleanRows = ds.clean.select(ds.keyCol, ds.dataColumns: _*).collect()
       .map(r => r.getLong(0) -> r).toMap

@@ -15,16 +15,18 @@ import repro.llm.Knowledge
   * over-eager: any unknown word within edit distance 2 of a vocabulary word
   * gets "fixed", which is what caps its precision.
   */
-final class RetCleanLite(maxDistance: Int = 2) extends CleaningSystem {
+final class RetCleanLite extends CleaningSystem {
 
   override def name: String = "RetClean"
+
+  private val MaxDistance = 2
 
   /** Fix one token if it is an unknown word near a known one. */
   private def fixToken(tok: String): Option[String] = {
     val lower = tok.toLowerCase
     if (tok.length < 5 || !tok.forall(_.isLetter) || Knowledge.dictionary.contains(lower)) None
     else
-      Knowledge.dictCandidates(lower, maxDistance).headOption.map { case (w, _) =>
+      Knowledge.dictCandidates(lower, MaxDistance).headOption.map { case (w, _) =>
         if (tok.head.isUpper) w.capitalize else w
       }
   }

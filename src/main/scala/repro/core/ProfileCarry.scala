@@ -26,8 +26,7 @@ import repro.profile.{ColumnProfile, TableProfile}
   * The carry is undefined (`None`), and the table must be profiled again,
   * when the step has a row action, the analysed plan is not a `Project`
   * computing the column (a value map from the column alone), the step
-  * rewrites a non-string column or a column whose profile is truncated, or
-  * it is an FD repair with overlapping arms.
+  * rewrites a non-string column, or it is an FD repair with overlapping arms.
   */
 object ProfileCarry {
 
@@ -39,7 +38,7 @@ object ProfileCarry {
           for {
             expr   <- exprs.get(r.column)
             in     <- child.output.find(_.name == r.column) if in.dataType == StringType
-            before <- profile.columns.get(r.column) if before.distinctCount == before.frequentValues.size
+            before <- profile.columns.get(r.column)
             counts <- r.rewrite match {
               case FdRepair(cases) =>
                 Option.when(disjoint(cases))(valueCounts(before) ++ cases.flatMap(k => Seq(k.badRhs -> -k.rows, k.target -> k.rows)))
@@ -49,7 +48,7 @@ object ProfileCarry {
                   valueCounts(before).map { case (v, n) => (Option(bound.eval(row(v))).map(_.toString).orNull, n) }
                 }
             }
-          } yield r.column -> reprofile(r.column, counts, profile.maxValues)
+          } yield r.column -> reprofile(r.column, counts)
         }
         Option.when(carried.forall(_.isDefined))(profile.copy(columns = profile.columns ++ carried.flatten))
       case _ => None
@@ -84,10 +83,10 @@ object ProfileCarry {
     * [[TableProfile.of]] would measure it: values merged and numbers parsed
     * by Spark's `TRY_CAST`, then ranked by [[ColumnProfile.of]].
     */
-  private def reprofile(name: String, counts: Seq[(String, Long)], maxValues: Int): ColumnProfile = {
+  private def reprofile(name: String, counts: Seq[(String, Long)]): ColumnProfile = {
     val values = counts.groupMapReduce(_._1)(_._2)(_ + _).collect {
       case (v, n) if n > 0 => (v, n, Option(number.eval(row(v))).map(_.asInstanceOf[Double]))
     }
-    ColumnProfile.of(name, values, maxValues)
+    ColumnProfile.of(name, values)
   }
 }

@@ -91,49 +91,31 @@ object Beers {
     }
 
     // Unit inconsistency: "12.0 oz" → "12.0 ounce" / "12.0 ounces".
-    var injected = 0
-    var it = rnd.shuffle((0 until nRows).toList).iterator
-    while (injected < inconsistencyTarget && it.hasNext) {
-      val r = it.next()
+    b.inject(inconsistencyTarget, rnd) { r =>
       val word = if (rnd.nextBoolean()) "ounce" else "ounces"
       val dirty = b.cleanValue(r, "ounces").replace(" oz", s" $word")
-      if (b.setCell(r, "ounces", dirty, b.cleanValue(r, "ounces"), "inconsistency")) injected += 1
+      b.setCell(r, "ounces", dirty, b.cleanValue(r, "ounces"), "inconsistency")
     }
 
     // Period variant: "12.0 oz" → "12.0 oz.".
-    injected = 0
-    it = rnd.shuffle((0 until nRows).toList).iterator
-    while (injected < dotVariantTarget && it.hasNext) {
-      val r = it.next()
-      if (!b.isLabeled(r, "ounces")) {
-        val dirty = b.cleanValue(r, "ounces") + "."
-        if (b.setCell(r, "ounces", dirty, b.cleanValue(r, "ounces"), "inconsistency")) injected += 1
-      }
+    b.inject(dotVariantTarget, rnd) { r =>
+      !b.isLabeled(r, "ounces") &&
+        b.setCell(r, "ounces", b.cleanValue(r, "ounces") + ".", b.cleanValue(r, "ounces"), "inconsistency")
     }
 
-    // FD violations: brewery_name replaced by another brewery's real name,
+    // FD violations: brewery_name swapped for another brewery's real name,
     // at most one per brewery so the group majority stays clear.
-    injected = 0
-    it = rnd.shuffle((0 until nRows).toList).iterator
     val corruptedBreweries = scala.collection.mutable.Set.empty[String]
-    while (injected < fdTarget && it.hasNext) {
-      val r = it.next()
+    b.inject(fdTarget, rnd) { r =>
       val own = b.cleanValue(r, "brewery_id")
-      if (!corruptedBreweries(own)) {
+      !corruptedBreweries(own) && {
         val donor = otherValue(breweryNames, b.cleanValue(r, "brewery_name"), rnd)
-        if (b.setCell(r, "brewery_name", donor, b.cleanValue(r, "brewery_name"), "fd")) {
-          corruptedBreweries += own; injected += 1
-        }
+        b.setCell(r, "brewery_name", donor, b.cleanValue(r, "brewery_name"), "fd") && corruptedBreweries.add(own)
       }
     }
 
     // DMV in ibu.
-    injected = 0
-    it = rnd.shuffle((0 until nRows).toList).iterator
-    while (injected < dmvTarget && it.hasNext) {
-      val r = it.next()
-      if (!b.isLabeled(r, "ibu") && b.setCell(r, "ibu", dmvToken(rnd), null, "dmv")) injected += 1
-    }
+    b.inject(dmvTarget, rnd)(r => !b.isLabeled(r, "ibu") && b.setCell(r, "ibu", dmvToken(rnd), null, "dmv"))
 
     b.build(spark, "beers", fdConstraints)
   }

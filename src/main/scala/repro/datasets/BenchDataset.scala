@@ -3,6 +3,7 @@ package repro.datasets
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types._
 import scala.collection.mutable
+import scala.util.Random
 
 /** One benchmark: a dirty table, its ground-truth clean version, and
   * cell-level error labels.
@@ -31,8 +32,8 @@ object BenchDataset {
 
   /** Column-major builder for a synthetic dirty/clean pair. Fill ground truth
     * with [[TableBuilder.setBoth]]; introduce an error with
-    * [[TableBuilder.setCell]], which records the label. Deterministic given
-    * the caller's seeded Random.
+    * [[TableBuilder.setCell]], which records the label, usually from inside
+    * [[TableBuilder.inject]]. Deterministic given the caller's seeded Random.
     */
   final class TableBuilder(val columns: Seq[String], val n: Int) {
     val truth: Array[Array[String]] = Array.ofDim[String](n, columns.size)
@@ -64,6 +65,15 @@ object BenchDataset {
         labels += ((r.toLong, c, errType))
       }
       differs
+    }
+
+    /** Offer `rows`, shuffled by `rnd`, to `tryRow` in that order until `k`
+      * of them took an error (`tryRow` returned true) or none are left.
+      */
+    def inject(k: Int, rnd: Random, rows: Range = 0 until n)(tryRow: Int => Boolean): Unit = {
+      val it = rnd.shuffle(rows.toList).iterator
+      var taken = 0
+      while (taken < k && it.hasNext) if (tryRow(it.next())) taken += 1
     }
 
     def build(spark: SparkSession, name: String, fds: Seq[(String, String)]): BenchDataset = {

@@ -74,10 +74,6 @@ object ErrorInjector {
     toks(rnd.nextInt(toks.size))
   }
 
-  /** Sample `k` distinct row indices from [0, n) (or fewer if k > n). */
-  def sampleRows(n: Int, k: Int, rnd: Random): Seq[Int] =
-    rnd.shuffle((0 until n).toList).take(k)
-
   /** Clock time rendered the Flights way: "10:30 p.m.". */
   def renderTime(minutesOfDay: Int): String = {
     val m  = ((minutesOfDay % 1440) + 1440) % 1440

@@ -111,16 +111,11 @@ object Flights {
     }
 
     // A few 'x'-substitution typos in the carrier name (string-outlier food).
-    var injected = 0
-    val it = rnd.shuffle((0 until nRows).toList).iterator
     val carrierDomain = carriers.map(_._2).toSet
-    while (injected < 60 && it.hasNext) {
-      val r = it.next()
-      if (!b.isLabeled(r, "carrier_name")) {
-        typoX(b.cleanValue(r, "carrier_name"), rnd, carrierDomain).foreach { t =>
-          if (b.setCell(r, "carrier_name", t, b.cleanValue(r, "carrier_name"), "typo")) injected += 1
-        }
-      }
+    b.inject(60, rnd) { r =>
+      !b.isLabeled(r, "carrier_name") &&
+        typoX(b.cleanValue(r, "carrier_name"), rnd, carrierDomain)
+          .exists(t => b.setCell(r, "carrier_name", t, b.cleanValue(r, "carrier_name"), "typo"))
     }
 
     b.build(spark, "flights", fdConstraints)

@@ -112,17 +112,10 @@ object Hospital {
     // them), some in FD-rhs columns (context repair also reaches them).
     val typoPlan = Seq("provider_id" -> 80, "measure_code" -> 73, "hospital_name" -> 20, "city" -> 20, "measure_name" -> 20)
     for ((col, k) <- typoPlan) {
-      var injected = 0
       val avoid = domains(col).toSet
-      val rows = rnd.shuffle((0 until b.n).toList)
-      val it = rows.iterator
-      while (injected < k && it.hasNext) {
-        val r = it.next()
-        if (!b.isLabeled(r, col)) {
-          typoX(b.cleanValue(r, col), rnd, avoid).foreach { t =>
-            if (b.setCell(r, col, t, b.cleanValue(r, col), "typo")) injected += 1
-          }
-        }
+      b.inject(k, rnd) { r =>
+        !b.isLabeled(r, col) &&
+          typoX(b.cleanValue(r, col), rnd, avoid).exists(t => b.setCell(r, col, t, b.cleanValue(r, col), "typo"))
       }
     }
 
@@ -131,33 +124,21 @@ object Hospital {
     val fdPlan = Seq("city" -> 80, "county" -> 60, "phone" -> 51, "measure_name" -> 80, "condition" -> 60)
     val perGroup = scala.collection.mutable.Map.empty[(String, String), Int].withDefaultValue(0)
     for ((col, k) <- fdPlan) {
-      var injected = 0
-      val rows = rnd.shuffle((0 until b.n).toList)
-      val it = rows.iterator
       val groupOf: Int => String =
         if (Set("measure_name", "condition")(col)) r => b.cleanValue(r, "measure_code")
         else r => b.cleanValue(r, "provider_id")
-      while (injected < k && it.hasNext) {
-        val r = it.next()
+      b.inject(k, rnd) { r =>
         val g = (groupOf(r), col)
-        if (!b.isLabeled(r, col) && perGroup(g) < 3) {
-          val donor = otherValue(domains(col), b.cleanValue(r, col), rnd)
-          if (b.setCell(r, col, donor, b.cleanValue(r, col), "fd")) {
-            perGroup(g) += 1; injected += 1
-          }
-        }
+        val took = !b.isLabeled(r, col) && perGroup(g) < 3 &&
+          b.setCell(r, col, otherValue(domains(col), b.cleanValue(r, col), rnd), b.cleanValue(r, col), "fd")
+        if (took) perGroup(g) += 1
+        took
       }
     }
 
     // DMV tokens in the numeric columns; ground truth is NULL.
-    for ((col, k) <- Seq("score" -> 120, "sample" -> 107)) {
-      var injected = 0
-      val it = rnd.shuffle((0 until b.n).toList).iterator
-      while (injected < k && it.hasNext) {
-        val r = it.next()
-        if (!b.isLabeled(r, col) && b.setCell(r, col, dmvToken(rnd), null, "dmv")) injected += 1
-      }
-    }
+    for ((col, k) <- Seq("score" -> 120, "sample" -> 107))
+      b.inject(k, rnd)(r => !b.isLabeled(r, col) && b.setCell(r, col, dmvToken(rnd), null, "dmv"))
 
     b.build(spark, "hospital", fdConstraints)
   }

@@ -10,7 +10,7 @@ import ErrorInjector._
   * 7390 rows. Table-1 errors are typos in frequent-value columns (genre,
   * country) and 938 value misplacements — the row's country entered in the
   * `language` column — repairable through the semantically meaningful FD
-  * country → language. Misplacements are placed beyond row 1000, so systems
+  * country → language. Misplacements sit beyond row 1000, so systems
   * that sample the first 1000 rows (HoloClean, CleanAgent, per the paper's
   * footnote) never see them. Column-type errors span the whole `duration`
   * ("100 min" / "1 hr 40 min" → minutes as DOUBLE) and `rating` ("7.5/10" →
@@ -95,37 +95,22 @@ object Movies {
     }
 
     // Typos ('x'-substitution) in frequent-value columns.
-    for ((col, k, domain) <- Seq(("genre", 100, genres), ("country", 84, countries))) {
-      var injected = 0
-      val it = rnd.shuffle((0 until nRows).toList).iterator
-      while (injected < k && it.hasNext) {
-        val r = it.next()
-        if (!b.isLabeled(r, col)) {
-          typoX(b.cleanValue(r, col), rnd, domain.toSet).foreach { t =>
-            if (b.setCell(r, col, t, b.cleanValue(r, col), "typo")) injected += 1
-          }
-        }
+    for ((col, k, domain) <- Seq(("genre", 100, genres), ("country", 84, countries)))
+      b.inject(k, rnd) { r =>
+        !b.isLabeled(r, col) &&
+          typoX(b.cleanValue(r, col), rnd, domain.toSet).exists(t => b.setCell(r, col, t, b.cleanValue(r, col), "typo"))
       }
-    }
 
     // Misplacement: the row's country value entered in `language`; only in
     // rows ≥ 1100 so first-1000-row samplers never see one.
-    var injected = 0
-    val it = rnd.shuffle((1100 until nRows).toList).iterator
-    while (injected < misplacementTarget && it.hasNext) {
-      val r = it.next()
-      if (!b.isLabeled(r, "language") &&
-          b.setCell(r, "language", b.dirtyValue(r, "country"), b.cleanValue(r, "language"), "misplacement"))
-        injected += 1
+    b.inject(misplacementTarget, rnd, 1100 until nRows) { r =>
+      !b.isLabeled(r, "language") &&
+        b.setCell(r, "language", b.dirtyValue(r, "country"), b.cleanValue(r, "language"), "misplacement")
     }
 
     // DMV in content_rating.
-    injected = 0
-    val it2 = rnd.shuffle((0 until nRows).toList).iterator
-    while (injected < dmvTarget && it2.hasNext) {
-      val r = it2.next()
-      if (!b.isLabeled(r, "content_rating") &&
-          b.setCell(r, "content_rating", dmvToken(rnd), null, "dmv")) injected += 1
+    b.inject(dmvTarget, rnd) { r =>
+      !b.isLabeled(r, "content_rating") && b.setCell(r, "content_rating", dmvToken(rnd), null, "dmv")
     }
 
     b.build(spark, "movies", fdConstraints)

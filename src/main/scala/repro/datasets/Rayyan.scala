@@ -13,7 +13,7 @@ import repro.llm.Knowledge
   * statistically unremarkable, semantically redundant. Plus: single-edit
   * dictionary-word typos in titles ("cofffee"-style, the errors RetClean can
   * fix), two date formats in `created_at`, issn→journal FD violations, DMV
-  * pagination, and misplaced author strings in `pagination` (unfixable).
+  * pagination, and author strings entered in `pagination` (unfixable).
   * Titles also carry legitimately-unusual tokens exactly 2 edits from a
   * dictionary word — bait that an aggressive distance-2 corrector "fixes"
   * wrongly, which is what caps RetClean's precision here.
@@ -95,31 +95,23 @@ object Rayyan {
 
     // Legitimately-unusual tokens (distance exactly 2 from the dictionary):
     // appended to titles, NOT errors. These bait distance-2 overcorrection.
-    var placed = 0
-    var it = rnd.shuffle((0 until nRows).toList).iterator
-    while (placed < unusualTokenTarget && it.hasNext) {
-      val r = it.next()
-      unusualToken(dictWords(rnd.nextInt(dictWords.size)), rnd).foreach { tok =>
-        val t = b.cleanValue(r, "article_title") + " " + tok
-        b.setBoth(r, "article_title", t)
-        placed += 1
-      }
+    b.inject(unusualTokenTarget, rnd) { r =>
+      val tok = unusualToken(dictWords(rnd.nextInt(dictWords.size)), rnd)
+      tok.foreach(t => b.setBoth(r, "article_title", b.cleanValue(r, "article_title") + " " + t))
+      tok.isDefined
     }
 
     // Dictionary typos in titles: replace one eligible word with a 1-edit
     // typo that world knowledge maps back unambiguously.
-    var injected = 0
-    it = rnd.shuffle((0 until nRows).toList).iterator
-    while (injected < typoTarget && it.hasNext) {
-      val r = it.next()
-      if (!b.isLabeled(r, "article_title")) {
+    b.inject(typoTarget, rnd) { r =>
+      !b.isLabeled(r, "article_title") && {
         val words = b.cleanValue(r, "article_title").split(" ")
         val cand = rnd.shuffle(words.indices.toList).find(i => Knowledge.dictionary.contains(words(i).toLowerCase) && words(i).length >= 5)
-        cand.foreach { i =>
-          dictTypo(words(i).toLowerCase, rnd).foreach { typo =>
+        cand.exists { i =>
+          dictTypo(words(i).toLowerCase, rnd).exists { typo =>
             val dirtyWord = if (words(i).head.isUpper) typo.capitalize else typo
             val dirty = words.updated(i, dirtyWord).mkString(" ")
-            if (b.setCell(r, "article_title", dirty, b.cleanValue(r, "article_title"), "typo")) injected += 1
+            b.setCell(r, "article_title", dirty, b.cleanValue(r, "article_title"), "typo")
           }
         }
       }
@@ -127,57 +119,41 @@ object Rayyan {
 
     // Language inconsistency: code → full capitalized name.
     val fullByCode = langs.map(l => l._1 -> l._2).toMap
-    injected = 0
-    it = rnd.shuffle((0 until nRows).toList).iterator
-    while (injected < langTarget && it.hasNext) {
-      val r = it.next()
+    b.inject(langTarget, rnd) { r =>
       val code = b.cleanValue(r, "article_language")
-      if (!b.isLabeled(r, "article_language") &&
-          b.setCell(r, "article_language", fullByCode(code), code, "inconsistency")) injected += 1
+      !b.isLabeled(r, "article_language") &&
+        b.setCell(r, "article_language", fullByCode(code), code, "inconsistency")
     }
 
     // Date format inconsistency: m/d/yyyy → ISO.
-    injected = 0
-    it = rnd.shuffle((0 until nRows).toList).iterator
-    while (injected < dateTarget && it.hasNext) {
-      val r = it.next()
+    b.inject(dateTarget, rnd) { r =>
       val v = b.cleanValue(r, "created_at")
-      Knowledge.DateFmt.render(v, "iso").foreach { iso =>
-        if (!b.isLabeled(r, "created_at") && b.setCell(r, "created_at", iso, v, "inconsistency")) injected += 1
+      Knowledge.DateFmt.render(v, "iso").exists { iso =>
+        !b.isLabeled(r, "created_at") && b.setCell(r, "created_at", iso, v, "inconsistency")
       }
     }
 
-    // FD violations: journal_title / journal_abbreviation replaced by another
+    // FD violations: journal_title / journal_abbreviation swapped for another
     // journal's value (at most 2 per issn group of ~8 rows).
     val perGroup = scala.collection.mutable.Map.empty[(String, String), Int].withDefaultValue(0)
     for ((col, k, domIdx) <- Seq(("journal_title", 90, 0), ("journal_abbreviation", 60, 1))) {
       val domain = journals.map(j => if (domIdx == 0) j._1 else j._2).distinct.toIndexedSeq
-      injected = 0
-      it = rnd.shuffle((0 until nRows).toList).iterator
-      while (injected < k && it.hasNext) {
-        val r = it.next()
+      b.inject(k, rnd) { r =>
         val g = (b.cleanValue(r, "journal_issn"), col)
-        if (!b.isLabeled(r, col) && perGroup(g) < 2) {
-          val donor = otherValue(domain, b.cleanValue(r, col), rnd)
-          if (b.setCell(r, col, donor, b.cleanValue(r, col), "fd")) { perGroup(g) += 1; injected += 1 }
-        }
+        val took = !b.isLabeled(r, col) && perGroup(g) < 2 &&
+          b.setCell(r, col, otherValue(domain, b.cleanValue(r, col), rnd), b.cleanValue(r, col), "fd")
+        if (took) perGroup(g) += 1
+        took
       }
     }
 
-    // DMV + misplaced author strings in pagination.
-    injected = 0
-    it = rnd.shuffle((0 until nRows).toList).iterator
-    while (injected < dmvTarget && it.hasNext) {
-      val r = it.next()
-      if (!b.isLabeled(r, "article_pagination") &&
-          b.setCell(r, "article_pagination", dmvToken(rnd), null, "dmv")) injected += 1
+    // DMV tokens, then author strings entered as pagination.
+    b.inject(dmvTarget, rnd) { r =>
+      !b.isLabeled(r, "article_pagination") && b.setCell(r, "article_pagination", dmvToken(rnd), null, "dmv")
     }
-    injected = 0
-    it = rnd.shuffle((0 until nRows).toList).iterator
-    while (injected < misplacementTarget && it.hasNext) {
-      val r = it.next()
-      if (!b.isLabeled(r, "article_pagination") &&
-          b.setCell(r, "article_pagination", b.cleanValue(r, "authors"), b.cleanValue(r, "article_pagination"), "misplacement")) injected += 1
+    b.inject(misplacementTarget, rnd) { r =>
+      !b.isLabeled(r, "article_pagination") &&
+        b.setCell(r, "article_pagination", b.cleanValue(r, "authors"), b.cleanValue(r, "article_pagination"), "misplacement")
     }
 
     b.build(spark, "rayyan", fdConstraints)

@@ -26,17 +26,6 @@ final class LocalTable(val columns: Seq[String], val rowIds: Array[Long], val ce
   def value(r: Int, c: String): String = cells(r)(colIdx(c))
   def set(r: Int, c: String, v: String): Unit = cells(r)(colIdx(c)) = v
 
-  /** Frequency map of a column's non-null values. */
-  def freq(c: String): Map[String, Int] = {
-    val i = colIdx(c)
-    val m = scala.collection.mutable.Map.empty[String, Int].withDefaultValue(0)
-    var r = 0
-    while (r < n) { val v = cells(r)(i); if (v != null) m(v) += 1; r += 1 }
-    m.toMap
-  }
-
-  def copy(): LocalTable = new LocalTable(columns, rowIds, cells.map(_.clone))
-
   def toDf(spark: SparkSession, keyCol: String): DataFrame = {
     val schema = StructType(
       StructField(keyCol, LongType, nullable = false) +: columns.map(StructField(_, StringType, nullable = true))

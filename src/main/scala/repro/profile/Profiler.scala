@@ -35,19 +35,18 @@ final case class ColumnProfile(
     maxNumeric: Option[Double],
     numericParseRate: Double,
 ) {
-  def nullRate: Double     = if (rowCount == 0) 0.0 else nullCount.toDouble / rowCount
-  def uniqueRatio: Double  = if (rowCount == 0) 0.0 else distinctCount.toDouble / rowCount
+  def uniqueRatio: Double = if (rowCount == 0) 0.0 else distinctCount.toDouble / rowCount
 }
 
 object ColumnProfile {
 
   /** The profile of column `name` from its (value, rows, number) table, one
-    * entry per distinct value, the null value included: the `maxValues` most
-    * frequent non-null values in [[ValueCount.ranked]] order, and the
+    * entry per distinct value, the null value included: every non-null value
+    * in [[ValueCount.ranked]] order, and the
     * numbers' min and max (NaN above every other number, as in Spark's `min`
     * and `max`) and parse rate over the non-null rows.
     */
-  def of(name: String, values: Iterable[(String, Long, Option[Double])], maxValues: Int): ColumnProfile = {
+  def of(name: String, values: Iterable[(String, Long, Option[Double])]): ColumnProfile = {
     val (nulls, present) = values.partition(_._1 == null)
     val nullCount = nulls.map(_._2).sum
     val nonNull   = present.map(_._2).sum
@@ -57,7 +56,7 @@ object ColumnProfile {
       rowCount = nullCount + nonNull,
       nullCount = nullCount,
       distinctCount = present.size,
-      frequentValues = present.map { case (v, n, _) => ValueCount(v, n) }.toSeq.sorted(ValueCount.ranked).take(maxValues),
+      frequentValues = present.map { case (v, n, _) => ValueCount(v, n) }.toSeq.sorted(ValueCount.ranked),
       minNumeric = nums.map(_._1).minOption(Ordering.Double.TotalOrdering),
       maxNumeric = nums.map(_._1).maxOption(Ordering.Double.TotalOrdering),
       numericParseRate = if (nonNull == 0) 0.0 else nums.map(_._2).sum.toDouble / nonNull,
@@ -66,39 +65,32 @@ object ColumnProfile {
 }
 
 /** Profile of one table state: a [[ColumnProfile]] for every column, each
-  * keeping its `maxValues` most frequent values in [[ValueCount.ranked]]
-  * order. A stage reads the prefix it needs.
+  * keeping all its values in [[ValueCount.ranked]] order. A stage reads the
+  * prefix it needs.
   */
-final case class TableProfile(rowCount: Long, columns: Map[String, ColumnProfile], maxValues: Int) {
+final case class TableProfile(rowCount: Long, columns: Map[String, ColumnProfile]) {
 
   def apply(col: String): ColumnProfile = columns(col)
 
   /** The `n` most frequent non-null values of `col`. */
-  def frequentValues(col: String, n: Int): Seq[ValueCount] = {
-    require(n <= maxValues, s"profile keeps $maxValues values per column; $n requested")
-    columns(col).frequentValues.take(n)
-  }
+  def frequentValues(col: String, n: Int): Seq[ValueCount] = columns(col).frequentValues.take(n)
 }
 
 object TableProfile {
 
-  /** Values kept per column by default: the longest prefix a stage reads. */
-  val MaxValues = 3000
-
   /** Profile every column with one query over the melted table: a count of
     * each (column, value), which the driver collects and ranks into each
     * column's profile with [[ColumnProfile.of]]. Every distinct value reaches
-    * the driver; the profile keeps the top `maxValues` of each column. The
-    * melted rows are coalesced into one partition before the group-by, which
+    * the driver and stays in the profile. The melted rows are coalesced into one partition before the group-by, which
     * then reads them without an exchange: the query is one Spark job. A
     * string column's numeric view is its value's `TRY_CAST` to double, taken
     * once per distinct value after the group-by; any other column's is the
     * typed `TRY_CAST` of each cell, NULL where Spark cannot cast the type to
     * double (DATE, BINARY, nested types).
     */
-  def of(df: DataFrame, maxValues: Int = MaxValues): TableProfile = {
+  def of(df: DataFrame): TableProfile = {
     val cols = df.columns.toSeq
-    if (cols.isEmpty) return TableProfile(df.count(), Map.empty, maxValues)
+    if (cols.isEmpty) return TableProfile(df.count(), Map.empty)
 
     // Each value as text and, outside string columns, as a number.
     // try_cast: under Spark 4 ANSI semantics a plain cast on malformed
@@ -121,9 +113,9 @@ object TableProfile {
 
     val profiles = cols.map { c =>
       val values = rows.getOrElse(c, Array.empty[Row]).map(r => (r.getString(1), r.getLong(2), Option(r.get(3)).map(_.asInstanceOf[Double])))
-      c -> ColumnProfile.of(c, values, maxValues)
+      c -> ColumnProfile.of(c, values)
     }
-    TableProfile(profiles.head._2.rowCount, profiles.toMap, maxValues)
+    TableProfile(profiles.head._2.rowCount, profiles.toMap)
   }
 
   /** A non-string column's cells as doubles: NULL for a string column, whose

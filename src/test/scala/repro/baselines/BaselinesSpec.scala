@@ -20,12 +20,6 @@ class BaselinesSpec extends SparkSpec {
     assert(back.columns.toSeq == hospital.dirty.columns.toSeq)
   }
 
-  test("LocalTable.freq counts non-null values") {
-    val t = LocalTable.collect(hospital)
-    val f = t.freq("state")
-    assert(f.values.sum == 1000 && f("AL") > 200)
-  }
-
   // ---- HoloClean
 
   test("HoloClean repairs constraint violations to the group majority") {

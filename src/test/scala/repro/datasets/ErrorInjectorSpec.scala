@@ -68,11 +68,6 @@ class ErrorInjectorSpec extends AnyFunSuite {
     (1 to 20).foreach { _ => assert(Knowledge.isDmv(dmvToken(rnd))) }
   }
 
-  test("sampleRows yields distinct in-range indices") {
-    val s = sampleRows(100, 30, new Random(10))
-    assert(s.size == 30 && s.distinct.size == 30 && s.forall(i => i >= 0 && i < 100))
-  }
-
   test("renderTime formats a.m./p.m. correctly") {
     assert(renderTime(0) == "12:00 a.m.")
     assert(renderTime(12 * 60 + 30) == "12:30 p.m.")

@@ -39,12 +39,14 @@ class ProfilerSpec extends SparkSpec {
   private val replacement = "\uFFFD"
   private val grin        = "\uD83D\uDE00"
 
+  // The name predates the profile keeping every value; it is kept as the test's id.
   test("profileColumn caps the value list") {
-    assert(TableProfile.of(df, maxValues = 2)("v").frequentValues.size == 2)
+    assert(profile("v").frequentValues == Seq(ValueCount("1", 3), ValueCount("2", 2), ValueCount("3", 1)))
     assert(profile.frequentValues("v", 2) == profile("v").frequentValues.take(2))
-    // A cap inside a count tie keeps the value first in Spark's order.
+    // A count tie is broken by Spark's string order.
     val tied = Seq(grin, replacement, grin, replacement, "a").toDF("x")
-    assert(TableProfile.of(tied, maxValues = 1)("x").frequentValues == Seq(ValueCount(replacement, 2)))
+    assert(TableProfile.of(tied)("x").frequentValues ==
+      Seq(ValueCount(replacement, 2), ValueCount(grin, 2), ValueCount("a", 1)))
   }
 
   test("profileColumn numeric stats over the parseable subset") {
@@ -58,14 +60,9 @@ class ProfilerSpec extends SparkSpec {
     assert(p.numericParseRate == 0.0 && p.minNumeric.isEmpty)
   }
 
+  // The name predates the removal of `nullRate`; it is kept as the test's id.
   test("nullRate and uniqueRatio derive correctly") {
-    val p = profile("k")
-    assert(math.abs(p.nullRate - 1.0 / 7) < 1e-9)
-    assert(math.abs(p.uniqueRatio - 2.0 / 7) < 1e-9)
-  }
-
-  test("a stage cannot read past the profile's value cap") {
-    intercept[IllegalArgumentException](TableProfile.of(df, maxValues = 2).frequentValues("v", 3))
+    assert(math.abs(profile("k").uniqueRatio - 2.0 / 7) < 1e-9)
   }
 
   test("every column is profiled") {
@@ -94,7 +91,7 @@ class ProfilerSpec extends SparkSpec {
     // Bytes "1" and "2" print as text that parses, but the column is binary.
     assert(p("bytes") == ColumnProfile("bytes", 3, 1, 2, Seq(ValueCount("1", 1), ValueCount("2", 1)), None, None, 0.0))
     assert(p("s").minNumeric.contains(1.0) && p("s").maxNumeric.contains(2.0))
-    for (c <- d.columns) assert(p(c) == ReferenceProfiler.profileColumn(d, c, TableProfile.MaxValues), c)
+    for (c <- d.columns) assert(p(c) == ReferenceProfiler.profileColumn(d, c), c)
   }
 
   test("an all-null column and an empty table profile to zero counts") {

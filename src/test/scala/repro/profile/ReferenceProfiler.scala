@@ -10,11 +10,11 @@ import org.apache.spark.sql.types.DoubleType
   */
 object ReferenceProfiler {
 
-  /** One column's profile, with its `maxValues` most frequent values: each
+  /** One column's profile, with all its values most frequent first: each
     * cell cast to double, NULL where Spark cannot cast the column's type, and
     * distinct values counted by their text, as they are listed.
     */
-  def profileColumn(df: DataFrame, col: String, maxValues: Int): ColumnProfile = {
+  def profileColumn(df: DataFrame, col: String): ColumnProfile = {
     val c = F.col(col)
     val num = if (Cast.canTryCast(df.schema(col).dataType, DoubleType)) c.try_cast("double") else F.lit(null).cast("double")
     val agg = df
@@ -35,7 +35,6 @@ object ReferenceProfiler {
       .groupBy(c.cast("string").as("v"))
       .agg(F.count(F.lit(1)).as("n"))
       .orderBy(F.desc("n"), F.asc("v"))
-      .limit(maxValues)
       .collect()
       .map(r => ValueCount(r.getString(0), r.getLong(1)))
       .toSeq
