@@ -36,16 +36,12 @@ import repro.llm.Knowledge
   * text typos (Rayyan titles) — is exactly what requires semantic knowledge.
   */
 final class RahaBaranLite extends CleaningSystem {
+  import RahaBaranLite._
 
   override def name: String = "Raha+Baran"
 
   private val LabelBudget = 20
   private val Seed        = 7L
-
-  private sealed trait Rule { def column: String }
-  private final case class ExactRule(column: String, from: String, to: String) extends Rule
-  private final case class SubstringRule(column: String, from: String, to: String) extends Rule
-  private final case class DateReformat(column: String, srcFmt: String, dstFmt: String) extends Rule
 
   /** Learn rules from one labelled (dirty, clean) pair. */
   private def learn(column: String, d: String, c: String): Seq[Rule] = {
@@ -178,4 +174,15 @@ final class RahaBaranLite extends CleaningSystem {
     repairs.foreach { case ((r, c), v) => t.set(r, c, v) }
     t.toDf(spark, ds.keyCol)
   }
+}
+
+object RahaBaranLite {
+
+  /** A correction rule learned from one labelled cell. Declared outside the
+    * class, so a pattern match on a case needs no outer-instance check.
+    */
+  private sealed trait Rule { def column: String }
+  private final case class ExactRule(column: String, from: String, to: String) extends Rule
+  private final case class SubstringRule(column: String, from: String, to: String) extends Rule
+  private final case class DateReformat(column: String, srcFmt: String, dstFmt: String) extends Rule
 }

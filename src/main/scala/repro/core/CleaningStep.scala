@@ -32,8 +32,9 @@ final case class RangeClamp(lo: Option[Double], hi: Option[Double]) extends Rewr
 
 /** One FD-violation repair: in rows where `lhsCol = lhsVal`, replace the bad
   * rhs value with the resolved correct one (§2.1.6). `rows` is the number of
-  * rows with `(lhsVal, badRhs)` that the FD query counted; the SQL ignores it,
-  * and [[ProfileCarry]] uses it to move those rows in the column's profile.
+  * rows with `(lhsVal, badRhs)` in the profile's joint counts; the SQL
+  * ignores it, and [[ProfileCarry]] uses it to move those rows in the
+  * column's profile.
   */
 final case class FdCase(lhsCol: String, lhsVal: String, badRhs: String, target: String, rows: Long)
 

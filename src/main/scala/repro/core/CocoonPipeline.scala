@@ -34,13 +34,17 @@ final case class CocoonResult(cleaned: DataFrame, steps: Seq[CleaningStep], colu
   * e.g. FD grouping sees typo-fixed values — the reason the order matters.
   * Stages share one [[TableProfile]] per table state, covering every column,
   * the key too (a key that is still distinct proves the table has no
-  * duplicate rows). A run profiles its input once; each stage then decides,
-  * applies its step and carries the profile on the driver through the plan
-  * the step's SQL resolved to, with no query ([[ProfileCarry]]). The table is
-  * profiled again only where the carry cannot be exact and a later stage
-  * reads the profile. The applied steps are chained as one plan over the
-  * input, as the script chains its CTEs; only the profile builds and the
-  * two stages that query the table start Spark jobs.
+  * duplicate rows). The FD gate reads only column names, so a run asks it
+  * first, and the profile also counts the joint values of every pair it
+  * accepts, from which the FD stage scores with no query. A run profiles its
+  * input once; each stage then decides, applies its step and carries the
+  * profile, pairs included, on the driver through the plan the step's SQL
+  * resolved to, with no query ([[ProfileCarry]]). The table is profiled
+  * again only where the carry cannot be exact and a later stage reads the
+  * profile, and counts the pairs again only while the FD stage is ahead.
+  * The applied steps are chained as one plan over the input, as the script
+  * chains its CTEs; only the profile builds and the duplicate-row count
+  * start Spark jobs.
   */
 object CocoonPipeline {
 
@@ -54,22 +58,29 @@ object CocoonPipeline {
     val columns = input.columns.toSeq
     val data    = columns.filterNot(_ == cfg.keyCol)
     val strings = CleaningStep.stringColumns(input, Set(cfg.keyCol))
-    val stages: Seq[(DataFrame, TableProfile) => CleaningStep] = Seq(
-      (_, p) => StringOutliers.step(strings, p, llm),
-      (_, p) => PatternOutliers.step(strings, p, llm),
-      (_, p) => Dmv.step(strings, p, llm),
-      (_, p) => ColumnType.step(strings, p, llm),
-      (_, p) => NumericOutliers.step(data, p, llm),
-      FunctionalDeps.step(_, strings, _, llm),
+    // The FD gate reads only column names: asked once, before any profile.
+    val fdPairs = FunctionalDeps.meaningfulPairs(strings, llm)
+    val valueStages: Seq[TableProfile => CleaningStep] = Seq(
+      StringOutliers.step(strings, _, llm),
+      PatternOutliers.step(strings, _, llm),
+      Dmv.step(strings, _, llm),
+      ColumnType.step(strings, _, llm),
+      NumericOutliers.step(data, _, llm),
+      FunctionalDeps.step(fdPairs, _, llm),
+    )
+    val rowStages: Seq[(DataFrame, TableProfile) => CleaningStep] = Seq(
       Duplication.step(_, _, llm, cfg.tableDesc),
       (_, p) => Uniqueness.step(columns, p, llm, Some(cfg.keyCol).filter(columns.contains)),
     )
+    // Each stage with the pairs a profile built for it counts: the FD pairs
+    // while the FD stage is ahead, none after it.
+    val stages = valueStages.map(s => (fdPairs, (_: DataFrame, p: TableProfile) => s(p))) ++ rowStages.map((Seq.empty[(String, String)], _))
 
     var df      = input
     var profile = Option.empty[TableProfile] // None: not yet built for this table state
     var steps   = Vector.empty[CleaningStep]
-    for (stage <- stages) {
-      val p = profile.getOrElse(TableProfile.of(df))
+    for ((pairs, stage) <- stages) {
+      val p = profile.getOrElse(TableProfile.of(df, pairs))
       profile = Some(p)
       val step = stage(df, p)
       if (!step.isNoop) {

@@ -1,15 +1,15 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
 import repro.llm.LLMClient
 import repro.profile.{Profiler, TableProfile}
 
 /** §2.1.6 Functional Dependencies.
   *
-  * Following Baran, only single-attribute FDs are considered. Statistical
-  * detection scores candidate pairs by the fraction of rows consistent with
-  * the FD; the LLM reviews whether a statistically strong FD is semantically
-  * meaningful (by what the columns denote); for each violating group the LLM
+  * Following Baran, only single-attribute FDs are considered. The LLM reviews
+  * which pairs are semantically meaningful FDs (by what the columns denote,
+  * so once per run, up front); statistical detection scores those pairs by
+  * the fraction of rows consistent with the FD, from the joint counts the
+  * table profile took, with no query; for each violating group the LLM
   * resolves the correct value — or declines when the group has no confident
   * majority (the paper's Flights discussion: ambiguous groups are preserved
   * rather than guessed). Cleaning is a map lookup on the lhs, then on the
@@ -23,23 +23,34 @@ object FunctionalDeps {
   /** Violating groups resolved per FD, largest first. */
   private val MaxGroups = 600
 
-  /** `columns` are the string columns an FD may relate; `df` is scored. */
-  def step(df: DataFrame, columns: Seq[String], profile: TableProfile, llm: LLMClient): CleaningStep = {
-    val rows = profile.rowCount
-
-    // Semantic gate first (cheap), then one statistical scoring query over
-    // the surviving pairs — same outcome as score-then-review. The lhs of a
-    // useful FD must repeat (a key trivially determines everything).
-    val candidatePairs = for {
+  /** The ordered pairs of `columns`, the string columns an FD may relate,
+    * that the LLM judges a meaningful FD lhs → rhs. The judgement reads only
+    * the columns' names, so a run asks it once per pair, before any profile,
+    * and the profile counts the accepted pairs' joint values.
+    */
+  def meaningfulPairs(columns: Seq[String], llm: LLMClient): Seq[(String, String)] =
+    for {
       lhs <- columns
       rhs <- columns
       if lhs != rhs
-      if profile(lhs).distinctCount > 1 && profile(lhs).distinctCount < rows * 0.9
       if llm.reviewFdMeaningful(lhs, rhs)
     } yield (lhs, rhs)
 
+  /** Scores `pairs`, the [[meaningfulPairs]], from the joint counts in
+    * `profile`, which must have counted them, and asks the LLM to resolve
+    * the violating groups of the strong ones.
+    */
+  def step(pairs: Seq[(String, String)], profile: TableProfile, llm: LLMClient): CleaningStep = {
+    val rows = profile.rowCount
+
+    // The lhs of a useful FD must repeat (a key trivially determines
+    // everything), and must not be constant.
+    val candidatePairs = pairs.filter { case (lhs, _) =>
+      profile(lhs).distinctCount > 1 && profile(lhs).distinctCount < rows * 0.9
+    }
+
     val accepted = Profiler
-      .scoreFds(df, candidatePairs, MaxGroups)
+      .scoreFds(profile, candidatePairs, MaxGroups)
       .filter(fd => fd.strength >= MinStrength && fd.violatingGroups > 0)
 
     val casesByRhs: Map[String, Seq[FdCase]] = accepted
@@ -59,7 +70,8 @@ object FunctionalDeps {
 
     // The invariants under which the nested map lookups of `FdRepair` pick
     // the arm a flat CASE over the sorted arms would. Neither side of a
-    // guard is NULL: the scoring query drops rows with a NULL lhs or rhs.
+    // guard is NULL: the profile's joint counts leave out rows with a NULL lhs
+    // or rhs.
     for ((rhs, cases) <- casesByRhs) {
       require(cases.map(c => (c.lhsCol, c.lhsVal, c.badRhs)).distinct.size == cases.size, s"$rhs: two FD arms share a guard")
       require(cases.forall(_.target != null), s"$rhs: an FD arm has a NULL target")

@@ -23,6 +23,11 @@ import repro.profile.{ColumnProfile, TableProfile}
   *   - an FD repair moves the rows each arm counted from its bad value to
   *     its target, exact when no row can match two arms.
   *
+  * The profile's column pairs carry through a value map the same way: each
+  * side of a pair's joint counts is mapped by its column's value → value
+  * map, rows where a side became NULL drop out, and equal results merge. An
+  * FD repair drops its column's pairs, since no later stage reads them.
+  *
   * The carry is undefined (`None`), and the table must be profiled again,
   * when the step has a row action, the analysed plan is not a `Project`
   * computing the column (a value map from the column alone), the step
@@ -39,20 +44,49 @@ object ProfileCarry {
             expr   <- exprs.get(r.column)
             in     <- child.output.find(_.name == r.column) if in.dataType == StringType
             before <- profile.columns.get(r.column)
-            counts <- r.rewrite match {
+            after <- r.rewrite match {
               case FdRepair(cases) =>
-                Option.when(disjoint(cases))(valueCounts(before) ++ cases.flatMap(k => Seq(k.badRhs -> -k.rows, k.target -> k.rows)))
+                Option.when(disjoint(cases))(
+                  Rewritten(valueCounts(before) ++ cases.flatMap(k => Seq(k.badRhs -> -k.rows, k.target -> k.rows)), None))
               case _ =>
                 Option.when(expr.references.subsetOf(AttributeSet(in))) {
-                  val bound = BindReferences.bindReference(folded(expr), Seq(in))
-                  valueCounts(before).map { case (v, n) => (Option(bound.eval(row(v))).map(_.toString).orNull, n) }
+                  val bound  = BindReferences.bindReference(folded(expr), Seq(in))
+                  val values = valueCounts(before).map { case (v, n) => (v, Option(bound.eval(row(v))).map(_.toString).orNull, n) }
+                  Rewritten(values.map { case (_, to, n) => to -> n }, Some(values.map { case (v, to, _) => v -> to }.toMap))
                 }
             }
-          } yield r.column -> reprofile(r.column, counts)
+          } yield r.column -> after
         }
-        Option.when(carried.forall(_.isDefined))(profile.copy(columns = profile.columns ++ carried.flatten))
+        Option.when(carried.forall(_.isDefined)) {
+          val rewritten = carried.flatten.toMap
+          val maps      = rewritten.collect { case (c, Rewritten(_, Some(m))) => c -> m }
+          // An FD repair's column leaves the pairs: no later stage reads them.
+          val repaired = rewritten.keySet -- maps.keySet
+          val pairs = profile.pairs.collect {
+            case ((l, r), joint) if !repaired(l) && !repaired(r) => (l, r) -> mapJoint(joint, maps.get(l), maps.get(r))
+          }
+          profile.copy(columns = profile.columns ++ rewritten.map { case (c, a) => c -> reprofile(c, a.counts) }, pairs = pairs)
+        }
       case _ => None
     }
+
+  /** A rewritten column's (value, count) table after a step, nulls
+    * included, and its map from each value before the step to the value
+    * after it, where the step is a value map.
+    */
+  private final case class Rewritten(counts: Seq[(String, Long)], values: Option[Map[String, String]])
+
+  /** A pair's joint counts with each side mapped by its column's value map,
+    * if it has one: rows where a side became NULL drop out, and pairs mapped
+    * to the same values merge.
+    */
+  private def mapJoint(joint: TableProfile.Joint, lhs: Option[Map[String, String]], rhs: Option[Map[String, String]]): TableProfile.Joint =
+    if (lhs.isEmpty && rhs.isEmpty) joint
+    else
+      joint.toSeq
+        .map { case ((l, r), n) => (lhs.fold(l)(_(l)), rhs.fold(r)(_(r))) -> n }
+        .filter { case ((l, r), _) => l != null && r != null }
+        .groupMapReduce(_._1)(_._2)(_ + _)
 
   /** A column's full (value, count) table, nulls included. */
   private def valueCounts(p: ColumnProfile): Seq[(String, Long)] =

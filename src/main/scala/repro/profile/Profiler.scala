@@ -4,6 +4,7 @@ import org.apache.spark.sql.{Column, DataFrame, Row, functions => F}
 import org.apache.spark.sql.catalyst.expressions.Cast
 import org.apache.spark.sql.types.{ByteType, DataType, DoubleType, IntegerType, LongType, ShortType, StringType, StructField}
 import org.apache.spark.unsafe.types.UTF8String
+import repro.util.SqlGen
 
 /** A value with its occurrence count, from a column's frequency profile. */
 final case class ValueCount(value: String, count: Long)
@@ -65,66 +66,102 @@ object ColumnProfile {
 }
 
 /** Profile of one table state: a [[ColumnProfile]] for every column, each
-  * keeping all its values in [[ValueCount.ranked]] order. A stage reads the
+  * keeping all its values in [[ValueCount.ranked]] order, and the joint
+  * counts of the column pairs it was asked to count. A stage reads the
   * prefix it needs.
   */
-final case class TableProfile(rowCount: Long, columns: Map[String, ColumnProfile]) {
+final case class TableProfile(
+    rowCount: Long,
+    columns: Map[String, ColumnProfile],
+    pairs: Map[(String, String), TableProfile.Joint] = Map.empty,
+) {
 
   def apply(col: String): ColumnProfile = columns(col)
 
   /** The `n` most frequent non-null values of `col`. */
   def frequentValues(col: String, n: Int): Seq[ValueCount] = columns(col).frequentValues.take(n)
+
+  /** The rows of each (`lhs` value, `rhs` value), over the rows where
+    * neither is NULL. The pair must have been counted, in either order.
+    */
+  def joint(lhs: String, rhs: String): TableProfile.Joint =
+    pairs.get((lhs, rhs))
+      .orElse(pairs.get((rhs, lhs)).map(_.map { case ((r, l), n) => (l, r) -> n }))
+      .getOrElse(throw new NoSuchElementException(s"the profile counted no pair of $lhs and $rhs"))
 }
 
 object TableProfile {
 
-  /** Profile every column with one query over the melted table: a count of
-    * each (column, value), which the driver collects and ranks into each
-    * column's profile with [[ColumnProfile.of]]. Every distinct value reaches
-    * the driver and stays in the profile. The melted rows are coalesced into one partition before the group-by, which
-    * then reads them without an exchange: the query is one Spark job. A
-    * string column's numeric view is its value's `TRY_CAST` to double, taken
-    * once per distinct value after the group-by; any other column's is the
-    * typed `TRY_CAST` of each cell, NULL where Spark cannot cast the type to
-    * double (DATE, BINARY, nested types).
+  /** The rows of each (lhs value, rhs value) of a column pair, neither NULL. */
+  type Joint = Map[(String, String), Long]
+
+  /** Profile every column, and count the joint values of each of `pairs`,
+    * with one query over the melted table: a count of each (column, value)
+    * and each (pair, lhs value, rhs value) with neither side NULL, which the
+    * driver collects and ranks into each column's profile with
+    * [[ColumnProfile.of]]. A pair is counted once in whichever order it comes
+    * first: joint counts serve both directions. Every distinct value reaches
+    * the driver and stays in the profile. The melted rows are coalesced into
+    * one partition before the group-by, which then reads them without an
+    * exchange: the query is one Spark job. A string column's numeric view is
+    * its value's `TRY_CAST` to double, taken once per distinct value after
+    * the group-by; any other column's is the typed `TRY_CAST` of each cell,
+    * NULL where Spark cannot cast the type to double (DATE, BINARY, nested
+    * types).
     */
-  def of(df: DataFrame): TableProfile = {
+  def of(df: DataFrame, pairs: Seq[(String, String)] = Seq.empty): TableProfile = {
     val cols = df.columns.toSeq
     if (cols.isEmpty) return TableProfile(df.count(), Map.empty)
+    val counted = pairs.distinctBy { case (l, r) => Set(l, r) }
 
-    // Each value as text and, outside string columns, as a number.
+    // One row per column, its slot its position, with the value as text
+    // and, outside string columns, as a number; then one per pair, in the
+    // slots after the columns', with both values as text.
     // try_cast: under Spark 4 ANSI semantics a plain cast on malformed
     // strings throws instead of yielding NULL.
     val fields = df.schema.fields.toSeq
+    val noText = F.lit(null).cast("string")
+    val columnRows = fields.zipWithIndex.map { case (f, i) => Seq(F.lit(i), text(f.name), noText, typedNumber(f)) }
+    val pairRows = counted.zipWithIndex.map { case ((l, r), j) => Seq(F.lit(cols.size + j), text(l), text(r), noNumber) }
     val melted = df.select(
-      F.stack(F.lit(cols.size) +: fields.flatMap(f => Seq(F.lit(f.name), F.col(f.name).cast("string"), typedNumber(f))): _*)
-        .as(Seq("column", "value", "typed"))
+      F.stack(F.lit(cols.size + counted.size) +: (columnRows ++ pairRows).flatten: _*).as(Seq("slot", "value", "rhs", "typed"))
     )
-    val textCols = fields.collect { case f if f.dataType.isInstanceOf[StringType] => f.name }
+    val textSlots = fields.indices.filter(i => fields(i).dataType.isInstanceOf[StringType])
     val rows = melted
+      .filter(F.col("slot") < cols.size || (F.col("value").isNotNull && F.col("rhs").isNotNull))
       .coalesce(1)
-      .groupBy("column", "value")
+      .groupBy("slot", "value", "rhs")
       .agg(
         F.count(F.lit(1)).as("n"),
-        F.when(F.col("column").isin(textCols: _*), F.col("value").try_cast("double")).otherwise(F.max("typed")).as("num"),
+        F.when(F.col("slot").isin(textSlots: _*), F.col("value").try_cast("double")).otherwise(F.max("typed")).as("num"),
       )
       .collect()
-      .groupBy(_.getString(0))
+      .groupBy(_.getInt(0))
 
-    val profiles = cols.map { c =>
-      val values = rows.getOrElse(c, Array.empty[Row]).map(r => (r.getString(1), r.getLong(2), Option(r.get(3)).map(_.asInstanceOf[Double])))
-      c -> ColumnProfile.of(c, values)
+    def slot(i: Int) = rows.getOrElse(i, Array.empty[Row])
+    val profiles = cols.zipWithIndex.map { case (c, i) =>
+      c -> ColumnProfile.of(c, slot(i).map(r => (r.getString(1), r.getLong(3), Option(r.get(4)).map(_.asInstanceOf[Double]))))
     }
-    TableProfile(profiles.head._2.rowCount, profiles.toMap)
+    val joints = counted.zipWithIndex.map { case (p, j) =>
+      p -> slot(cols.size + j).map(r => (r.getString(1), r.getString(2)) -> r.getLong(3)).toMap
+    }
+    TableProfile(profiles.head._2.rowCount, profiles.toMap, joints.toMap)
   }
+
+  /** A column by its name, quoted: a name may hold a backtick, a dot or a space. */
+  private def column(name: String): Column = F.col(SqlGen.ident(name))
+
+  private def text(name: String): Column = column(name).cast("string")
+
+  private val noNumber = F.lit(null).cast("double")
 
   /** A non-string column's cells as doubles: NULL for a string column, whose
     * values are cast once each after the group-by, and for a type Spark
     * cannot cast to double.
     */
   private def typedNumber(f: StructField): Column =
-    if (f.dataType.isInstanceOf[StringType] || !Cast.canTryCast(f.dataType, DoubleType)) F.lit(null).cast("double")
-    else F.col(f.name).try_cast("double")
+    if (f.dataType.isInstanceOf[StringType] || !Cast.canTryCast(f.dataType, DoubleType)) noNumber
+    else column(f.name).try_cast("double")
 }
 
 /** A scored single-attribute FD candidate lhs → rhs (§2.1.6, after Baran).
@@ -146,10 +183,10 @@ final case class FdScore(
 
 /** Statistical error-detection substrate beyond the [[TableProfile]].
   *
-  * Every measurement is one Spark aggregation whose counts the driver
-  * collects and ranks. This is the "statistical detection" half of every
-  * Cocoon issue pipeline; the semantic half consumes these summaries via the
-  * simulated LLM.
+  * FD scores rank the joint counts the profile took, with no query; the
+  * duplicate-row count is one Spark aggregation at most. This is the
+  * "statistical detection" half of every Cocoon issue pipeline; the semantic
+  * half consumes these summaries via the simulated LLM.
   */
 object Profiler {
 
@@ -175,33 +212,17 @@ object Profiler {
   private def comparesAsText(t: DataType): Boolean =
     t == StringType || Seq(ByteType, ShortType, IntegerType, LongType).contains(t)
 
-  /** Score every (lhs, rhs) pair with one query over the stacked
-    * (pair, lhs value, rhs value) counts — the single-attribute partition
-    * refinement of TANE [Huhtala et al.] — keeping up to `maxGroups`
-    * violating groups per pair. Returns one [[FdScore]] per pair, in order.
-    * The stacked rows are coalesced into one partition, so the group-by runs
-    * as one Spark job with no exchange; the driver collects every distinct
-    * (pair, lhs value, rhs value) count and scores each pair from them.
+  /** Score every (lhs, rhs) pair from the joint counts the profile took —
+    * the single-attribute partition refinement of TANE [Huhtala et al.] —
+    * keeping up to `maxGroups` violating groups per pair. Returns one
+    * [[FdScore]] per pair, in order, and runs no query: the profile must have
+    * counted every pair ([[TableProfile.joint]]).
     */
-  def scoreFds(df: DataFrame, pairs: Seq[(String, String)], maxGroups: Int): Seq[FdScore] = {
-    if (pairs.isEmpty) return Seq.empty
-    val stacked = df.select(
-      F.stack(F.lit(pairs.size) +: pairs.zipWithIndex.flatMap { case ((l, r), i) =>
-        Seq(F.lit(i), F.col(l).cast("string"), F.col(r).cast("string"))
-      }: _*).as(Seq("pair", "l", "r"))
-    )
-    val rows = stacked
-      .filter(F.col("l").isNotNull && F.col("r").isNotNull)
-      .coalesce(1)
-      .groupBy("pair", "l", "r")
-      .count()
-      .collect()
-      .groupBy(_.getInt(0))
-
-    pairs.zipWithIndex.map { case ((lhs, rhs), i) =>
+  def scoreFds(profile: TableProfile, pairs: Seq[(String, String)], maxGroups: Int): Seq[FdScore] =
+    pairs.map { case (lhs, rhs) =>
       // Each lhs group's rhs values, most frequent first: the head is its plurality.
-      val groups = rows.getOrElse(i, Array.empty[Row]).toSeq
-        .groupMap(_.getString(1))(x => ValueCount(x.getString(2), x.getLong(3)))
+      val groups = profile.joint(lhs, rhs).toSeq
+        .groupMap(_._1._1) { case ((_, rv), n) => ValueCount(rv, n) }
         .map { case (lv, vs) => lv -> vs.sorted(ValueCount.ranked) }
       val total = groups.values.map(_.map(_.count).sum).sum
       val agree = groups.values.map(_.head.count).sum
@@ -211,5 +232,4 @@ object Profiler {
       val strength = if (total == 0) 0.0 else agree.toDouble / total
       FdScore(lhs, rhs, strength, violating.size.toLong, kept.map(_.value).sorted.map(lv => lv -> groups(lv)))
     }
-  }
 }

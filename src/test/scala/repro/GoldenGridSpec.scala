@@ -14,16 +14,17 @@ import repro.util.SqlGen.Dialect
   * and DuckDB the same steps rendered in its dialect, and both must give the
   * same rows as the pipeline's cleaned table.
   *
-  * The same runs bound the Spark jobs one pipeline run starts. Job count does
-  * not depend on the hardware: a run profiles its input once, carries the
-  * profile through value maps on the driver, scores FDs in one query, runs
-  * each of these queries as one job with no exchange, reads the absence of
+  * The same runs pin the Spark jobs one pipeline run starts. Job count does
+  * not depend on the hardware: a run profiles its input once, in one job
+  * with no exchange that also counts the joint values of the FD pairs,
+  * carries the profile and the pairs through value maps on the driver,
+  * scores FDs from the profile with no query, reads the absence of
   * duplicate rows off the profile and chains the steps into one plan, so it
-  * takes 2 jobs, where profiling each column in each stage took hundreds.
-  * Hospital takes 3: its FD arms overlap, so the table is profiled again
-  * after the FD step. The first read of the cleaned table runs that plan in
-  * 3 more, so the bound on the run and its read catches work moved into the
-  * reader. A run's only SQL executions are those jobs and one temp-view
+  * takes 1 job, where profiling each column in each stage took hundreds.
+  * Hospital takes 2: its FD arms overlap, so the table is profiled again,
+  * with no pairs, after the FD step. The first read of the cleaned table
+  * runs that plan in 3 more, so the pin on the run and its read catches
+  * work moved into the reader. A run's only SQL executions are those jobs and one temp-view
   * command per applied step: the profile is carried through each step's
   * resolved plan with no query. Every run, its scoring and its script compile
   * under whole-stage codegen: a fallback to interpreted execution fails the
@@ -35,8 +36,9 @@ import repro.util.SqlGen.Dialect
   */
 class GoldenGridSpec extends SparkSpec {
 
-  private val MaxJobsPerRun        = 3
-  private val MaxJobsPerRunAndRead = 6
+  /** Spark jobs per run, and in the first read of its output. */
+  private val pinnedRunJobs = Map("hospital" -> 2L, "flights" -> 1L, "beers" -> 1L, "rayyan" -> 1L, "movies" -> 1L)
+  private val ReadJobs      = 3L
 
   /** Cocoon's pinned counts under the Table-1 and the Table-3 rules. */
   private val pinnedTable1 = PaperGrid.pinnedTable1.toMap
@@ -59,8 +61,8 @@ class GoldenGridSpec extends SparkSpec {
       assert(PaperGrid.cells(table1) == pinnedTable1(("Cocoon", name)))
       assert(PaperGrid.cells(table3) == pinnedTable3(("Cocoon", name)))
       assert(Sha256(result.script) == pinnedScripts(name), s"$name: the emitted script changed")
-      assert(runJobs <= MaxJobsPerRun, s"$name: $runJobs Spark jobs in one run")
-      assert(runJobs + readJobs <= MaxJobsPerRunAndRead, s"$name: $runJobs + $readJobs Spark jobs in a run and its first read")
+      assert(runJobs == pinnedRunJobs(name), s"$name: $runJobs Spark jobs in one run")
+      assert(runJobs + readJobs == pinnedRunJobs(name) + ReadJobs, s"$name: $runJobs + $readJobs Spark jobs in a run and its first read")
       assert(runExecutions == runJobs + result.steps.size,
         s"$name: $runExecutions SQL executions in a run of $runJobs jobs and ${result.steps.size} steps")
 

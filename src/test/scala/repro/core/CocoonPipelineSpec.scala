@@ -73,16 +73,19 @@ class CocoonPipelineSpec extends SparkSpec {
 
   test("typo fix unlocks FD grouping (order matters end to end)") {
     // Only after the typo fix does the 10001 group absorb its row and
-    // repair the city.
-    val res = CocoonPipeline.run(spark, providersDf, llm)
+    // repair the city. The FD stage scores from the carried profile: the
+    // run's one job is the input's profile.
+    val (res, jobs) = countingJobs(CocoonPipeline.run(spark, providersDf, llm))
+    assert(jobs == 1, s"$jobs Spark jobs")
     assert(res.cleaned.filter("provider_id = '10001'").count() == 20)
     assert(res.cleaned.filter("city = 'WrongCity'").count() == 0)
   }
 
   test("a run persists nothing") {
     val before = spark.sparkContext.getPersistentRDDs.keySet
-    val res = CocoonPipeline.run(spark, providersDf, llm)
+    val (res, jobs) = countingJobs(CocoonPipeline.run(spark, providersDf, llm))
     assert(res.steps.map(_.issue) == Seq("string-outliers", "functional-deps"))
+    assert(jobs == 1, s"$jobs Spark jobs")
     assert(spark.sparkContext.getPersistentRDDs.keySet == before)
     assert(res.cleaned.count() == 30)
   }

@@ -8,10 +8,12 @@ import repro.JobCounting.{countingExecutions, countingJobs}
 import repro.bench.CocoonRuns
 import repro.core._
 import repro.eval.Harness
+import repro.llm.SimulatedLLM
 
 /** The profile [[ProfileCarry]] derives on the driver equals the one
   * [[TableProfile.of]] measures on the rewritten table, wherever the carry is
-  * defined, and deriving it starts no Spark job and no SQL execution.
+  * defined, the joint counts of its column pairs included, and deriving it
+  * starts no Spark job and no SQL execution.
   *
   * Profiles are compared up to the sign of a zero minimum or maximum: with
   * both "-0" and "0" in a column, Spark's `min` keeps whichever it meets
@@ -28,6 +30,11 @@ class ProfileCarrySpec extends SparkSpec {
     StructField("qty", IntegerType),
   ))
   private val strings = Seq("a", "b", "c", "empty")
+
+  /** The column pairs whose joint counts the profiles carry: one pair given
+    * in the other column order, and one with an all-null side.
+    */
+  private val pairs = Seq("a" -> "b", "c" -> "b", "a" -> "c", "a" -> "empty")
 
   // Numbers Spark and Scala parse differently, quotes, and a character
   // outside the Basic Multilingual Plane against U+FFFD, which sort one way
@@ -61,8 +68,9 @@ class ProfileCarrySpec extends SparkSpec {
     val clamp = Gen.zip(bound, bound).map { case (lo, hi) => RangeClamp(lo, hi) }
     if (col == "qty") clamp
     else Gen.oneOf(
-      // A value map's keys are distinct and it maps to no NULL.
-      Gen.listOf(Gen.zip(nonNull, nonNull)).map(m => MapValues(m.distinctBy(_._1))),
+      // A value map's keys are distinct and it maps to no NULL. Half its
+      // targets are one of two values, so that values often merge.
+      Gen.listOf(Gen.zip(nonNull, Gen.oneOf(nonNull, Gen.oneOf("a", "12")))).map(m => MapValues(m.distinctBy(_._1))),
       Gen.someOf(pool.filter(_ != null)).map(vs => MapToNull(vs.toSeq)),
       clamp,
       fdRepair(rows, col),
@@ -78,17 +86,22 @@ class ProfileCarrySpec extends SparkSpec {
   private def canon(p: TableProfile) = {
     def bits(d: Option[Double]) = d.map(x => java.lang.Double.doubleToLongBits(x + 0.0)) // -0.0 + 0.0 is 0.0
     (p.rowCount, p.columns.view.mapValues(c =>
-      (c.copy(minNumeric = None, maxNumeric = None), bits(c.minNumeric), bits(c.maxNumeric))).toMap)
+      (c.copy(minNumeric = None, maxNumeric = None), bits(c.minNumeric), bits(c.maxNumeric))).toMap, p.pairs)
   }
 
-  /** The carried profile, checked against a fresh one wherever it is defined. */
+  /** The carried profile, checked against a fresh one wherever it is
+    * defined: its columns, and the joint counts of every pair but those of a
+    * column an FD repair rewrote, which it drops.
+    */
   private def carryChecked(df: DataFrame, before: TableProfile, step: CleaningStep): Option[TableProfile] = {
     val applied = CleaningStep.apply(spark, df, step)
     val ((carried, jobs), executions) = countingExecutions(countingJobs(ProfileCarry.after(before, step, applied)))
     assert(jobs == 0, s"carrying ${step.issue} started $jobs Spark jobs")
     assert(executions == 0, s"carrying ${step.issue} started $executions SQL executions")
     carried.foreach { c =>
-      val rebuilt = TableProfile.of(applied)
+      val repaired = step.rewrites.collect { case ColumnRewrite(col, _: FdRepair, _) => col }.toSet
+      assert(c.pairs.keySet == before.pairs.keySet.filterNot { case (l, r) => repaired(l) || repaired(r) }, s"pairs after $step")
+      val rebuilt = TableProfile.of(applied, c.pairs.keys.toSeq)
       assert(canon(c) == canon(rebuilt), s"carried ≠ rebuilt after $step")
     }
     carried
@@ -97,20 +110,59 @@ class ProfileCarrySpec extends SparkSpec {
   test("the carried profile equals a fresh profile after random value maps and FD repairs") {
     val gen = for { rows <- table; s <- step(rows) } yield (rows, s)
     var carried = 0
+    // Carried samples where a pair's row lost a side to NULL, and where two
+    // of a pair's value combinations merged into one.
+    var nulled, merged = 0
     Seeded.forAll(gen, n = 80) { case (rows, s) =>
       val df = spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), schema)
-      val result = carryChecked(df, TableProfile.of(df), s)
+      val before = TableProfile.of(df, pairs)
+      val result = carryChecked(df, before, s)
       assert(result.isDefined == s.rewrites.forall(_.column != "qty"), s"carry defined = ${result.isDefined} for $s")
-      if (result.isDefined) carried += 1
+      result.foreach { after =>
+        carried += 1
+        val kept = after.pairs.keys.toSeq
+        if (kept.exists(p => after.pairs(p).values.sum < before.pairs(p).values.sum)) nulled += 1
+        if (kept.exists(p => after.pairs(p).size < before.pairs(p).size && after.pairs(p).values.sum == before.pairs(p).values.sum))
+          merged += 1
+      }
     }
     assert(carried >= 30, s"only $carried of 80 samples carried")
+    assert(nulled >= 5 && merged >= 5, s"only $nulled samples lost pair rows to NULL and $merged merged them")
+  }
+
+  test("pair counts carry through a value map, a DMV null and a boolean cast") {
+    import spark.implicits._
+    val df = Seq(
+      (1L, "Boston", "yes", "MA"), (2L, "Bostn", "yes", "MA"), (3L, "Boston", "Y", "MA"),
+      (4L, "N/A", "no", "CA"), (5L, "Reno", "no", null), (6L, "Reno", "n", "NV"),
+    ).toDF("row_id", "city", "open", "state")
+    val pairs = Seq("city" -> "state", "open" -> "city", "state" -> "open")
+    val s = CleaningStep("s", Seq(
+      ColumnRewrite("city", MapValues(Seq("Bostn" -> "Boston")), "typo"),
+      ColumnRewrite("open", MapValues(Seq("yes" -> "True", "Y" -> "True", "no" -> "False", "n" -> "False")), "bool"),
+    ))
+    val carried = carryChecked(df, TableProfile.of(df, pairs), s).get
+    // Bostn merged into Boston; "yes" and "Y" into "True".
+    assert(carried.joint("city", "state") == Map(("Boston", "MA") -> 3L, ("N/A", "CA") -> 1L, ("Reno", "NV") -> 1L))
+    assert(carried.joint("open", "city") == Map(("True", "Boston") -> 3L, ("False", "N/A") -> 1L, ("False", "Reno") -> 2L))
+    val dmv = CleaningStep("dmv", Seq(ColumnRewrite("city", MapToNull(Seq("N/A")), "dmv")))
+    val applied = CleaningStep.apply(spark, df, s)
+    val nulled = carryChecked(applied, carried, dmv).get
+    // Row 4 loses its city: it leaves every pair with the city.
+    assert(nulled.joint("city", "state") == Map(("Boston", "MA") -> 3L, ("Reno", "NV") -> 1L))
+    assert(nulled.joint("open", "city") == Map(("True", "Boston") -> 3L, ("False", "Reno") -> 2L))
+    assert(nulled.joint("state", "open") == carried.joint("state", "open"))
+    // An FD repair drops its column's pairs and keeps the others.
+    val fd = CleaningStep("fd", Seq(ColumnRewrite("state", FdRepair(Seq(FdCase("city", "Reno", "NV", "CA", 1L))), "fd")))
+    val repaired = carryChecked(CleaningStep.apply(spark, applied, dmv), nulled, fd).get
+    assert(repaired.pairs.keySet == Set("open" -> "city"))
   }
 
   test("the carry is undefined where it cannot be exact") {
     import spark.implicits._
     val df = Seq((1L, "z1", "x1", "Boston"), (2L, "z1", "x1", "Dothan"), (3L, "z2", "x2", "Reno"))
       .toDF("row_id", "zip", "phone", "city")
-    val p = TableProfile.of(df)
+    val p = TableProfile.of(df, Seq("zip" -> "city"))
     def after(p: TableProfile, s: CleaningStep) = ProfileCarry.after(p, s, CleaningStep.apply(spark, df, s))
     def step(rws: (String, Rewrite)*) = CleaningStep("s", rws.map { case (c, rw) => ColumnRewrite(c, rw, "r") })
     def carry(rws: (String, Rewrite)*) = after(p, step(rws: _*))
@@ -134,9 +186,10 @@ class ProfileCarrySpec extends SparkSpec {
       val run = CocoonRuns(name)
       import run.{ds, result}
       assert(result.steps.nonEmpty)
+      val fdPairs = FunctionalDeps.meaningfulPairs(CleaningStep.stringColumns(ds.dirty, Set(ds.keyCol)), new SimulatedLLM())
       var df = ds.dirty
       val carried = result.steps.map { s =>
-        val c = carryChecked(df, TableProfile.of(df), s)
+        val c = carryChecked(df, TableProfile.of(df, fdPairs), s)
         df = CleaningStep.apply(spark, df, s).localCheckpoint()
         s.issue -> c.isDefined
       }

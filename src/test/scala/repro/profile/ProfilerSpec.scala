@@ -20,8 +20,11 @@ class ProfilerSpec extends SparkSpec {
 
   private lazy val profile = TableProfile.of(df)
 
-  private def scoreFd(d: DataFrame, maxGroups: Int = 500): FdScore =
-    Profiler.scoreFds(d, Seq("l" -> "r"), maxGroups).head
+  /** Score `pairs` of `d` from a profile that counted them. */
+  private def scoreFds(d: DataFrame, pairs: Seq[(String, String)], maxGroups: Int): Seq[FdScore] =
+    Profiler.scoreFds(TableProfile.of(d, pairs), pairs, maxGroups)
+
+  private def scoreFd(d: DataFrame, maxGroups: Int = 500): FdScore = scoreFds(d, Seq("l" -> "r"), maxGroups).head
 
   test("profileColumn counts rows, nulls, distincts") {
     val p = profile("k")
@@ -156,24 +159,41 @@ class ProfilerSpec extends SparkSpec {
 
   test("scoreFds scores every pair in one call, in order") {
     val d = Seq(("a", "1", "x"), ("a", "2", "x"), ("b", "3", "y")).toDF("l", "r", "s")
-    val fds = Profiler.scoreFds(d, Seq("l" -> "r", "l" -> "s", "s" -> "l"), 10)
+    val fds = scoreFds(d, Seq("l" -> "r", "l" -> "s", "s" -> "l"), 10)
     assert(fds.map(f => (f.lhs, f.rhs)) == Seq("l" -> "r", "l" -> "s", "s" -> "l"))
     assert(fds.map(_.violatingGroups) == Seq(1L, 0L, 0L))
     assert(math.abs(fds.head.strength - 2.0 / 3) < 1e-9 && fds(1).strength == 1.0)
   }
 
-  // The name predates the query's one-job form; it is kept as the test's id.
-  test("scoreFds over several pairs starts two jobs: one shuffle and the result") {
+  test("scoreFds starts no job: it scores from the pairs the profile counted") {
     val d = Seq(("a", "1", "x"), ("a", "2", "x"), ("b", "3", "y")).toDF("l", "r", "s")
     val pairs = Seq("l" -> "r", "l" -> "s", "s" -> "l", "r" -> "s")
-    assert(jobsAndExchanges(Profiler.scoreFds(d, pairs, 10)) == (1L, 0L))
+    val p = TableProfile.of(d, pairs)
+    // One count serves both directions of a pair.
+    assert(p.pairs.keySet == Set("l" -> "r", "l" -> "s", "r" -> "s"))
+    assert(p.joint("s", "l") == Map(("x", "a") -> 2L, ("y", "b") -> 1L))
+    val (fds, jobs) = countingJobs(Profiler.scoreFds(p, pairs, 10))
+    assert(jobs == 0 && fds.size == 4)
+  }
+
+  test("scoreFds fails on a pair the profile did not count") {
+    val d = Seq(("a", "1", "x")).toDF("l", "r", "s")
+    val e = intercept[NoSuchElementException](Profiler.scoreFds(TableProfile.of(d, Seq("l" -> "r")), Seq("l" -> "s"), 10))
+    assert(e.getMessage.contains("l and s"))
+  }
+
+  test("the profile counts a pair's values only where neither side is NULL, and leaves the columns as they were") {
+    val d = Seq[(String, String)](("a", "1"), ("a", null), (null, "1"), (null, null), ("b", "2"), ("a", "1")).toDF("l", "r")
+    val p = TableProfile.of(d, Seq("l" -> "r"))
+    assert(p.joint("l", "r") == Map(("a", "1") -> 2L, ("b", "2") -> 1L))
+    assert(p.columns == TableProfile.of(d).columns && p.rowCount == 6)
   }
 
   test("neither statistics query plans a window or a sort: one job, no exchange") {
     val d = Seq(("a", "1", "x"), ("a", "2", "x"), ("b", "3", "y")).toDF("l", "r", "s")
     for ((name, query) <- Seq[(String, () => Any)](
-        "TableProfile.of"   -> (() => TableProfile.of(d)),
-        "Profiler.scoreFds" -> (() => Profiler.scoreFds(d, Seq("l" -> "r", "s" -> "l"), 10)),
+        "TableProfile.of"            -> (() => TableProfile.of(d)),
+        "TableProfile.of with pairs" -> (() => TableProfile.of(d, Seq("l" -> "r", "s" -> "l", "r" -> "s"))),
       )) {
       val ((_, jobs), plans) = executedPlans(countingJobs(query()))
       val windows   = collectNodes(plans) { case w: WindowExec => w }.size

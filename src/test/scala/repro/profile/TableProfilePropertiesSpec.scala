@@ -10,8 +10,9 @@ import org.apache.spark.sql.types.{
 import org.scalacheck.Gen
 import repro.{Seeded, SparkSpec}
 
-/** The one-pass [[TableProfile]] and [[Profiler.scoreFds]] agree exactly with
-  * the per-column and per-pair queries they replace ([[ReferenceProfiler]]),
+/** The one-pass [[TableProfile]], and [[Profiler.scoreFds]] over the pairs it
+  * counted, agree exactly with the per-column and per-pair queries they
+  * replace ([[ReferenceProfiler]]),
   * on small random tables with nulls, numeric and non-numeric strings,
   * quoted values, values whose UTF-8 and UTF-16 orders differ, tied counts
   * with group caps that fall inside a tie, an all-null column, a
@@ -86,10 +87,14 @@ class TableProfilePropertiesSpec extends SparkSpec {
   private def comparable(p: ColumnProfile) =
     (p.copy(minNumeric = None, maxNumeric = None), Seq(p.minNumeric, p.maxNumeric).map(_.map(d => if (d == 0.0) "0.0" else d.toString)))
 
+  /** FD pairs: a pair in both directions, an all-null rhs and a typed lhs. */
+  private val pairs = Seq("word" -> "mixed", "mixed" -> "word", "word" -> "empty", "qty" -> "word")
+
   test("TableProfile equals the per-column profile queries") {
     Seeded.forAll(table, n = 25) { rows =>
       val df = spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), schema)
-      val profile = TableProfile.of(df)
+      // The pairs' rows in the melt leave every column's profile as it is.
+      val profile = TableProfile.of(df, pairs)
       assert(profile.columns.keySet == schema.fieldNames.toSet)
       assert(profile.rowCount == rows.size)
       for (c <- schema.fieldNames)
@@ -98,13 +103,12 @@ class TableProfilePropertiesSpec extends SparkSpec {
   }
 
   test("scoreFds equals the per-pair FD queries") {
-    val pairs = Seq("word" -> "mixed", "mixed" -> "word", "word" -> "empty", "qty" -> "word")
     val gen = for { rows <- table; cap <- capIn(violatingSizes(rows, "word", "mixed"), 1000) } yield (rows, cap)
     var straddled = 0
     Seeded.forAll(gen, n = 15) { case (rows, cap) =>
       if (tieCaps(violatingSizes(rows, "word", "mixed")).contains(cap)) straddled += 1
       val df = spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), schema)
-      val fds = Profiler.scoreFds(df, pairs, maxGroups = cap)
+      val fds = Profiler.scoreFds(TableProfile.of(df, pairs), pairs, maxGroups = cap)
       for (((lhs, rhs), fd) <- pairs.zip(fds)) {
         assert((fd.lhs, fd.rhs) == (lhs, rhs))
         assert((fd.strength, fd.violatingGroups) == ReferenceProfiler.scoreFd(df, lhs, rhs), s"$lhs → $rhs of $rows")
