@@ -73,8 +73,10 @@ object CocoonPipeline {
       (_, p) => Uniqueness.step(columns, p, llm, Some(cfg.keyCol).filter(columns.contains)),
     )
     // Each stage with the pairs a profile built for it counts: the FD pairs
-    // while the FD stage is ahead, none after it.
-    val stages = valueStages.map(s => (fdPairs, (_: DataFrame, p: TableProfile) => s(p))) ++ rowStages.map((Seq.empty[(String, String)], _))
+    // up to the FD stage, none after it.
+    val stages =
+      valueStages.map(s => fdPairs -> ((_: DataFrame, p: TableProfile) => s(p))) ++
+        rowStages.map(Seq.empty[(String, String)] -> _)
 
     var df      = input
     var profile = Option.empty[TableProfile] // None: not yet built for this table state
