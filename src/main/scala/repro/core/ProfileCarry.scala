@@ -2,9 +2,9 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.InternalRow
-import org.apache.spark.sql.catalyst.expressions.{Alias, AttributeSet, BindReferences, BoundReference, Cast, EvalMode, Expression, Literal}
+import org.apache.spark.sql.catalyst.expressions.{Alias, AttributeSet, BindReferences, Expression, Literal}
 import org.apache.spark.sql.catalyst.plans.logical.Project
-import org.apache.spark.sql.types.{DoubleType, StringType}
+import org.apache.spark.sql.types.StringType
 import org.apache.spark.unsafe.types.UTF8String
 import repro.profile.{ColumnProfile, TableProfile}
 
@@ -65,7 +65,7 @@ object ProfileCarry {
           val pairs = profile.pairs.collect {
             case ((l, r), joint) if !repaired(l) && !repaired(r) => (l, r) -> mapJoint(joint, maps.get(l), maps.get(r))
           }
-          profile.copy(columns = profile.columns ++ rewritten.map { case (c, a) => c -> reprofile(c, a.counts) }, pairs = pairs)
+          profile.copy(columns = profile.columns ++ rewritten.map { case (c, a) => c -> ColumnProfile.ofStrings(c, a.counts) }, pairs = pairs)
         }
       case _ => None
     }
@@ -109,18 +109,4 @@ object ProfileCarry {
 
   /** One string value as the row an expression bound to ordinal 0 reads. */
   private def row(v: String): InternalRow = InternalRow(UTF8String.fromString(v))
-
-  /** Spark's `TRY_CAST(v AS DOUBLE)` of the string at ordinal 0. */
-  private val number = Cast(BoundReference(0, StringType, nullable = true), DoubleType, evalMode = EvalMode.TRY)
-
-  /** The profile of a column holding `counts` (value, rows), as
-    * [[TableProfile.of]] would measure it: values merged and numbers parsed
-    * by Spark's `TRY_CAST`, then ranked by [[ColumnProfile.of]].
-    */
-  private def reprofile(name: String, counts: Seq[(String, Long)]): ColumnProfile = {
-    val values = counts.groupMapReduce(_._1)(_._2)(_ + _).collect {
-      case (v, n) if n > 0 => (v, n, Option(number.eval(row(v))).map(_.asInstanceOf[Double]))
-    }
-    ColumnProfile.of(name, values)
-  }
 }

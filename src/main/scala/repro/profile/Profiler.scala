@@ -1,7 +1,12 @@
 package repro.profile
 
-import org.apache.spark.sql.{Column, DataFrame, Row, functions => F}
-import org.apache.spark.sql.catalyst.expressions.Cast
+import scala.collection.mutable
+
+import org.apache.spark.sql.{Column, DataFrame, functions => F}
+import org.apache.spark.sql.catalyst.InternalRow
+import org.apache.spark.sql.catalyst.expressions.{BoundReference, Cast, EvalMode}
+import org.apache.spark.sql.catalyst.util.SQLOrderingUtil
+import org.apache.spark.sql.execution.SQLExecution
 import org.apache.spark.sql.types.{ByteType, DataType, DoubleType, IntegerType, LongType, ShortType, StringType, StructField}
 import org.apache.spark.unsafe.types.UTF8String
 import repro.util.SqlGen
@@ -11,8 +16,24 @@ final case class ValueCount(value: String, count: Long)
 
 object ValueCount {
 
-  /** Spark's string order: UTF-8 bytes, not UTF-16 code units. */
-  private val sparkOrder: Ordering[String] = (a, b) => UTF8String.fromString(a).compareTo(UTF8String.fromString(b))
+  /** Spark's string order: UTF-8 bytes, not UTF-16 code units. UTF-8 bytes
+    * order as code points do, so the code points are compared, with nothing
+    * encoded.
+    */
+  private val sparkOrder: Ordering[String] = (a, b) => {
+    var (i, j, d) = (0, 0, 0)
+    while (d == 0 && i < a.length && j < b.length) {
+      val x = a.codePointAt(i)
+      val y = b.codePointAt(j)
+      d = Integer.compare(encoded(x), encoded(y))
+      i += Character.charCount(x)
+      j += Character.charCount(y)
+    }
+    if (d != 0) d else Integer.compare(a.length - i, b.length - j)
+  }
+
+  /** A code point as Spark's UTF-8 encoding orders it: a lone surrogate is encoded as `?`. */
+  private def encoded(c: Int): Int = if (c >= Character.MIN_SURROGATE && c <= Character.MAX_SURROGATE) '?' else c
 
   /** Most frequent first, ties by value in Spark's string order: the order of
     * a column's frequent values, of an FD group's rhs values and of the
@@ -63,6 +84,19 @@ object ColumnProfile {
       numericParseRate = if (nonNull == 0) 0.0 else nums.map(_._2).sum.toDouble / nonNull,
     )
   }
+
+  /** The profile of string column `name` holding `counts` (value, rows),
+    * nulls included: equal values merged, values left with no rows dropped,
+    * and each distinct value's number Spark's `TRY_CAST(value AS DOUBLE)`,
+    * taken once per value; then ranked by [[of]].
+    */
+  def ofStrings(name: String, counts: Iterable[(String, Long)]): ColumnProfile =
+    of(name, counts.groupMapReduce(_._1)(_._2)(_ + _).collect {
+      case (v, n) if n > 0 => (v, n, Option(number.eval(InternalRow(UTF8String.fromString(v)))).map(_.asInstanceOf[Double]))
+    })
+
+  /** Spark's `TRY_CAST(v AS DOUBLE)` of the string at ordinal 0. */
+  private val number = Cast(BoundReference(0, StringType, nullable = true), DoubleType, evalMode = EvalMode.TRY)
 }
 
 /** Profile of one table state: a [[ColumnProfile]] for every column, each
@@ -96,72 +130,104 @@ object TableProfile {
   type Joint = Map[(String, String), Long]
 
   /** Profile every column, and count the joint values of each of `pairs`,
-    * with one query over the melted table: a count of each (column, value)
-    * and each (pair, lhs value, rhs value) with neither side NULL, which the
-    * driver collects and ranks into each column's profile with
-    * [[ColumnProfile.of]]. A pair is counted once in whichever order it comes
-    * first: joint counts serve both directions. Every distinct value reaches
-    * the driver and stays in the profile. The melted rows are coalesced into
-    * one partition before the group-by, which then reads them without an
-    * exchange: the query is one Spark job. A string column's numeric view is
-    * its value's `TRY_CAST` to double, taken once per distinct value after
-    * the group-by; any other column's is the typed `TRY_CAST` of each cell,
-    * NULL where Spark cannot cast the type to double (DATE, BINARY, nested
-    * types).
+    * in one Spark job and one SQL execution. One projection gives each
+    * column's value as text and, for a non-string column, its typed
+    * `TRY_CAST` to double, NULL where Spark cannot cast the type to double
+    * (DATE, BINARY, nested types). Each input partition's task counts its
+    * projected rows in place: the rows of each (column, text), with the
+    * largest typed number as Spark's `max` orders them, and of each (pair,
+    * lhs text, rhs text) with neither side NULL. A pair is counted once in
+    * whichever order it comes first: joint counts serve both directions. The
+    * driver merges the partitions' counts, so it receives each distinct
+    * value at most once per partition, and every value stays in the profile.
+    * A string column's values are ranked, and their numbers taken once per
+    * distinct value, by [[ColumnProfile.ofStrings]]; any other column's by
+    * [[ColumnProfile.of]].
     */
   def of(df: DataFrame, pairs: Seq[(String, String)] = Seq.empty): TableProfile = {
-    val cols = df.columns.toSeq
-    if (cols.isEmpty) return TableProfile(df.count(), Map.empty)
-    val counted = pairs.distinctBy { case (l, r) => Set(l, r) }
-
-    // One row per column, its slot its position, with the value as text
-    // and, outside string columns, as a number; then one per pair, in the
-    // slots after the columns', with both values as text.
-    // try_cast: under Spark 4 ANSI semantics a plain cast on malformed
-    // strings throws instead of yielding NULL.
     val fields = df.schema.fields.toSeq
-    val noText = F.lit(null).cast("string")
-    val columnRows = fields.zipWithIndex.map { case (f, i) => Seq(F.lit(i), text(f.name), noText, typedNumber(f)) }
-    val pairRows = counted.zipWithIndex.map { case ((l, r), j) => Seq(F.lit(cols.size + j), text(l), text(r), noNumber) }
-    val melted = df.select(
-      F.stack(F.lit(cols.size + counted.size) +: (columnRows ++ pairRows).flatten: _*).as(Seq("slot", "value", "rhs", "typed"))
-    )
-    val textSlots = fields.indices.filter(i => fields(i).dataType.isInstanceOf[StringType])
-    val rows = melted
-      .filter(F.col("slot") < cols.size || (F.col("value").isNotNull && F.col("rhs").isNotNull))
-      .coalesce(1)
-      .groupBy("slot", "value", "rhs")
-      .agg(
-        F.count(F.lit(1)).as("n"),
-        F.when(F.col("slot").isin(textSlots: _*), F.col("value").try_cast("double")).otherwise(F.max("typed")).as("num"),
-      )
-      .collect()
-      .groupBy(_.getInt(0))
+    if (fields.isEmpty) return TableProfile(df.count(), Map.empty)
+    val counted = pairs.distinctBy { case (l, r) => Set(l, r) }
+    val pairAt = counted.map { case (l, r) => (df.schema.fieldIndex(l), df.schema.fieldIndex(r)) }.toArray
 
-    def slot(i: Int) = rows.getOrElse(i, Array.empty[Row])
-    val profiles = cols.zipWithIndex.map { case (c, i) =>
-      c -> ColumnProfile.of(c, slot(i).map(r => (r.getString(1), r.getLong(3), Option(r.get(4)).map(_.asInstanceOf[Double]))))
+    // Column i's text at ordinal i, then the typed numbers, column i's at
+    // numberAt(i) (-1 for none): TRY_CASTs, which `Cast.canTryCast` admits.
+    val typed = fields.indices.filter(i => !isString(fields(i)) && Cast.canTryCast(fields(i).dataType, DoubleType))
+    val numberAt = Array.fill(fields.size)(-1)
+    for ((i, k) <- typed.zipWithIndex) numberAt(i) = fields.size + k
+    val projected = df.select(fields.map(f => column(f.name).cast(StringType)) ++ typed.map(i => column(fields(i).name).try_cast(DoubleType)): _*)
+
+    val qe = projected.queryExecution
+    val parts = SQLExecution.withNewExecutionId(qe, Some("profile")) {
+      qe.toRdd.mapPartitions(rows => Iterator(countPartition(rows, numberAt, pairAt))).collect()
     }
-    val joints = counted.zipWithIndex.map { case (p, j) =>
-      p -> slot(cols.size + j).map(r => (r.getString(1), r.getString(2)) -> r.getLong(3)).toMap
+
+    val profiles = fields.zipWithIndex.map { case (f, i) =>
+      val values = parts.flatMap(_.values(i))
+      f.name -> (if (isString(f)) ColumnProfile.ofStrings(f.name, values.map { case (v, n, _) => v -> n }) else ColumnProfile.of(f.name, merged(values)))
     }
+    val joints = counted.indices.map(j => counted(j) -> parts.flatMap(_.joints(j)).groupMapReduce(_._1)(_._2)(_ + _))
     TableProfile(profiles.head._2.rowCount, profiles.toMap, joints.toMap)
   }
 
+  /** One partition's counts: each column's (text, rows, largest typed
+    * number), and each pair's ((lhs text, rhs text), rows).
+    */
+  private final case class Counts(values: Array[Array[(String, Long, Option[Double])]], joints: Array[Array[((String, String), Long)]])
+
+  /** The rows of one value, and its largest typed number. */
+  private final class Tally(var rows: Long = 0L, var number: Option[Double] = None)
+
+  /** Count one partition of the projection [[of]] runs: `numberAt(i)` is the
+    * ordinal of column i's typed number (-1 for none), and each of `pairAt`
+    * the ordinals of a pair's two texts.
+    */
+  private def countPartition(rows: Iterator[InternalRow], numberAt: Array[Int], pairAt: Array[(Int, Int)]): Counts = {
+    val values = Array.fill(numberAt.length)(mutable.HashMap.empty[UTF8String, Tally])
+    val joints = Array.fill(pairAt.length)(mutable.HashMap.empty[(UTF8String, UTF8String), Tally])
+    val texts  = new Array[UTF8String](numberAt.length)
+    for (row <- rows) {
+      for (i <- texts.indices) {
+        texts(i) = if (row.isNullAt(i)) null else row.getUTF8String(i)
+        val t = tally(values(i), texts(i))(s => if (s == null) null else s.clone())
+        t.rows += 1
+        val k = numberAt(i)
+        if (k >= 0 && !row.isNullAt(k)) t.number = larger(t.number, Some(row.getDouble(k)))
+      }
+      for (j <- pairAt.indices) {
+        val (l, r) = (texts(pairAt(j)._1), texts(pairAt(j)._2))
+        if (l != null && r != null) tally(joints(j), (l, r)) { case (a, b) => (a.clone(), b.clone()) }.rows += 1
+      }
+    }
+    def text(s: UTF8String): String = if (s == null) null else s.toString
+    Counts(
+      values.map(_.iterator.map { case (v, t) => (text(v), t.rows, t.number) }.toArray),
+      joints.map(_.iterator.map { case ((l, r), t) => (text(l), text(r)) -> t.rows }.toArray),
+    )
+  }
+
+  /** A typed column's (text, rows, number) from every partition, merged per
+    * text: rows summed, and the larger number kept.
+    */
+  private def merged(values: Iterable[(String, Long, Option[Double])]): Iterable[(String, Long, Option[Double])] =
+    values.groupMapReduce(_._1)(v => (v._2, v._3)) { case ((n, a), (m, b)) => (n + m, larger(a, b)) }.map { case (v, (n, d)) => (v, n, d) }
+
+  /** The tally of `key` in `counts`, added under `copy(key)` if missing: a
+    * projected row's strings point into a buffer the next row reuses.
+    */
+  private def tally[K](counts: mutable.HashMap[K, Tally], key: K)(copy: K => K): Tally =
+    counts.getOrElse(key, { val t = new Tally; counts(copy(key)) = t; t })
+
+  /** The larger of two numbers as Spark's `max` orders them: NaN above every other number. */
+  private def larger(a: Option[Double], b: Option[Double]): Option[Double] = (a, b) match {
+    case (Some(x), Some(y)) => if (SQLOrderingUtil.compareDoubles(y, x) > 0) b else a
+    case _                  => a.orElse(b)
+  }
+
+  private def isString(f: StructField): Boolean = f.dataType.isInstanceOf[StringType]
+
   /** A column by its name, quoted: a name may hold a backtick, a dot or a space. */
   private def column(name: String): Column = F.col(SqlGen.ident(name))
-
-  private def text(name: String): Column = column(name).cast("string")
-
-  private val noNumber = F.lit(null).cast("double")
-
-  /** A non-string column's cells as doubles: NULL for a string column, whose
-    * values are cast once each after the group-by, and for a type Spark
-    * cannot cast to double.
-    */
-  private def typedNumber(f: StructField): Column =
-    if (f.dataType.isInstanceOf[StringType] || !Cast.canTryCast(f.dataType, DoubleType)) noNumber
-    else column(f.name).try_cast("double")
 }
 
 /** A scored single-attribute FD candidate lhs → rhs (§2.1.6, after Baran).

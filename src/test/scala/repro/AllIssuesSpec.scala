@@ -76,9 +76,7 @@ object AllIssuesTable {
 
 class AllIssuesSpec extends SparkSpec {
 
-  /** `df` with its DATE column as text: the test JVM cannot collect a DATE
-    * value, and the oracle loads one as text anyway.
-    */
+  /** `df` with its DATE column as text, as the oracle loads it. */
   private def dateAsText(df: DataFrame): DataFrame = df.withColumn("updated", df("updated").cast("string"))
 
   private val cfg = CocoonConfig(keyCol = "row_id", tableDesc = "customers")
@@ -96,8 +94,8 @@ class AllIssuesSpec extends SparkSpec {
     val cleaned = res.cleaned.cache()
     try {
       // Cells: the rows kept, and the cells of each column that changed.
-      val in  = dateAsText(input).collect().map(r => r.getLong(0) -> r).toMap
-      val out = dateAsText(cleaned).collect().toSeq
+      val in  = input.collect().map(r => r.getLong(0) -> r).toMap
+      val out = cleaned.collect().toSeq
       val changed = input.columns.indices.map(c => input.columns(c) -> out.count(r => in(r.getLong(0)).get(c) != r.get(c)))
       assert(changed.filter(_._2 > 0).toMap == Map("rep`name" -> 10, "active \"flag\"" -> 96, "age" -> 4, "home city" -> 2))
       val text = out.map(_.toSeq.map(String.valueOf).mkString("\u0001")).sorted.mkString("\n")
@@ -113,5 +111,10 @@ class AllIssuesSpec extends SparkSpec {
       assert(fallbacks == 0 && scriptFallbacks == 0)
       Oracle.assertEquivalent(dateAsText(cleaned), CleaningStep.renderScript(res.steps, res.columns, Dialect.DuckDb), "input" -> dateAsText(input))
     } finally cleaned.unpersist()
+  }
+
+  test("the test JVM collects a DATE value") {
+    val days = AllIssuesTable(spark).filter("row_id = 0").select("updated").collect().map(_.getDate(0))
+    assert(days.toSeq == Seq(AllIssuesTable.rows(11L).head.getDate(8)))
   }
 }

@@ -6,21 +6,23 @@ import java.util.concurrent.atomic.AtomicLong
 import scala.jdk.CollectionConverters._
 
 import org.apache.spark.ListenerBusAccess
-import org.apache.spark.scheduler.{SparkListener, SparkListenerEvent, SparkListenerJobStart}
+import org.apache.spark.scheduler.{SparkListener, SparkListenerEvent, SparkListenerJobStart, SparkListenerTaskStart}
 import org.apache.spark.sql.execution.{QueryExecution, SparkPlan}
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.ui.SparkListenerSQLExecutionStart
 import org.apache.spark.sql.util.QueryExecutionListener
 
-/** Counts the Spark jobs and the SQL executions a block of code starts on
-  * the shared session, and captures the executed plans of the queries it
-  * runs. None of these depends on the hardware. The listeners are added on
+/** Counts the Spark jobs, tasks and SQL executions a block of code starts
+  * on the shared session, and captures the executed plans of the queries it
+  * runs. None of these depends on the hardware, except a task count over an
+  * input whose partitions follow the core count. The listeners are added on
   * first use and stay for the JVM, so a memo computed by one suite is
   * measured the same way as a suite's own block.
   */
 object JobCounting {
 
   private val jobs       = new AtomicLong
+  private val tasks      = new AtomicLong
   private val executions = new AtomicLong
   private val plans      = new ConcurrentLinkedQueue[SparkPlan]
   @volatile private var capturing = false
@@ -29,6 +31,7 @@ object JobCounting {
     val spark = SparkSpec.shared
     spark.sparkContext.addSparkListener(new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit = jobs.incrementAndGet()
+      override def onTaskStart(e: SparkListenerTaskStart): Unit = tasks.incrementAndGet()
       override def onOtherEvent(e: SparkListenerEvent): Unit = e match {
         case _: SparkListenerSQLExecutionStart => executions.incrementAndGet()
         case _                                 => ()
@@ -43,6 +46,9 @@ object JobCounting {
 
   /** `body`'s result and the number of Spark jobs it started. */
   def countingJobs[A](body: => A): (A, Long) = counting(jobs)(body)
+
+  /** `body`'s result and the number of Spark tasks it started. */
+  def countingTasks[A](body: => A): (A, Long) = counting(tasks)(body)
 
   /** `body`'s result and the number of SQL executions it started: every
     * query run and every command, such as registering a temp view, whether

@@ -1,11 +1,13 @@
 package repro.profile
 
-import java.sql.Date
+import java.sql.{Date, Timestamp}
+import java.time.Instant
 
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.execution.SortExec
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
 import org.apache.spark.sql.execution.window.WindowExec
+import org.apache.spark.unsafe.types.UTF8String
 import repro.SparkSpec
 import repro.JobCounting._
 
@@ -52,6 +54,16 @@ class ProfilerSpec extends SparkSpec {
       Seq(ValueCount(replacement, 2), ValueCount(grin, 2), ValueCount("a", 1)))
   }
 
+  test("a count tie is broken in Spark's UTF-8 byte order") {
+    // Prefixes, BMP characters above the surrogates, a surrogate pair and
+    // lone surrogates, which Spark encodes as "?".
+    val values = Seq("", "a", "ab", "b", "?", "@", "\u00e9", replacement, grin, grin + "a", "\uD800", "\uDC00x", "a\uD83D")
+    for (a <- values; b <- values) {
+      val expected = UTF8String.fromString(a).compareTo(UTF8String.fromString(b)).sign
+      assert(ValueCount.ranked.compare(ValueCount(a, 1), ValueCount(b, 1)).sign == expected, s"${a.map(_.toInt)} vs ${b.map(_.toInt)}")
+    }
+  }
+
   test("profileColumn numeric stats over the parseable subset") {
     val p = profile("v")
     assert(p.minNumeric.contains(1.0) && p.maxNumeric.contains(3.0))
@@ -78,9 +90,13 @@ class ProfilerSpec extends SparkSpec {
     (jobs, collectNodes(plans) { case e: ShuffleExchangeExec => e }.size.toLong)
   }
 
-  // The name predates the query's one-job form; it is kept as the test's id.
-  test("the profile query starts two jobs: one shuffle and the result") {
+  test("the profile is one job and one SQL execution, a task per partition") {
     assert(jobsAndExchanges(TableProfile.of(df)) == (1L, 0L))
+    // Each input partition's task counts its own rows: none is coalesced.
+    val d = spark.createDataFrame(spark.sparkContext.parallelize(Seq(("a", "1"), ("b", "2"), ("a", "1")), 3)).toDF("l", "r")
+    val (((p, tasks), jobs), executions) = countingExecutions(countingJobs(countingTasks(TableProfile.of(d, Seq("l" -> "r")))))
+    assert((jobs, executions, tasks) == (1L, 1L, 3L))
+    assert(p("l").frequentValues == Seq(ValueCount("a", 2), ValueCount("b", 1)) && p.joint("l", "r")(("a", "1")) == 2L)
   }
 
   test("a DATE or BINARY column profiles with no numeric view") {
@@ -95,6 +111,22 @@ class ProfilerSpec extends SparkSpec {
     assert(p("bytes") == ColumnProfile("bytes", 3, 1, 2, Seq(ValueCount("1", 1), ValueCount("2", 1)), None, None, 0.0))
     assert(p("s").minNumeric.contains(1.0) && p("s").maxNumeric.contains(2.0))
     for (c <- d.columns) assert(p(c) == ReferenceProfiler.profileColumn(d, c), c)
+  }
+
+  test("a typed number merged across partitions is the larger, as Spark's max") {
+    // In New York's fall-back hour two instants print as the same local time.
+    val zone = spark.conf.get("spark.sql.session.timeZone")
+    spark.conf.set("spark.sql.session.timeZone", "America/New_York")
+    try {
+      val edt = Timestamp.from(Instant.parse("2021-11-07T05:30:00Z"))
+      val est = Timestamp.from(Instant.parse("2021-11-07T06:30:00Z"))
+      for (rows <- Seq(Seq(edt, est), Seq(est, edt))) {
+        val d = spark.createDataFrame(spark.sparkContext.parallelize(rows.map(Tuple1(_)), 2)).toDF("ts")
+        val p = TableProfile.of(d)("ts")
+        assert(p.frequentValues == Seq(ValueCount("2021-11-07 01:30:00", 2)))
+        assert(p.minNumeric.contains(est.getTime / 1000.0) && p.maxNumeric == p.minNumeric)
+      }
+    } finally spark.conf.set("spark.sql.session.timeZone", zone)
   }
 
   test("an all-null column and an empty table profile to zero counts") {
@@ -196,6 +228,7 @@ class ProfilerSpec extends SparkSpec {
         "TableProfile.of with pairs" -> (() => TableProfile.of(d, Seq("l" -> "r", "s" -> "l", "r" -> "s"))),
       )) {
       val ((_, jobs), plans) = executedPlans(countingJobs(query()))
+      assert(plans.size == 1, s"$name: ${plans.size} plans captured")
       val windows   = collectNodes(plans) { case w: WindowExec => w }.size
       val sorts     = collectNodes(plans) { case s: SortExec => s }.size
       val exchanges = collectNodes(plans) { case e: ShuffleExchangeExec => e }.size

@@ -19,7 +19,9 @@ import repro.{Seeded, SparkSpec}
   * unique key and typed columns: integer, double (NaN, both zeros, both
   * infinities), float, boolean, decimal, date and timestamp. The profile
   * casts a string column once per distinct value and the reference once per
-  * cell.
+  * cell. Each table is split into 1–4 partitions, so the driver's merge of
+  * the partitions' counts is checked too: counts summed, typed maxima
+  * merged, NULLs and pair values split across partitions.
   */
 class TableProfilePropertiesSpec extends SparkSpec {
 
@@ -60,6 +62,11 @@ class TableProfilePropertiesSpec extends SparkSpec {
     rows <- Gen.listOfN(n, row)
   } yield rows.zipWithIndex.map { case (r, k) => r(k.toLong) }
 
+  /** The number of partitions to split a table into, drawn after the rest of
+    * a sample so that it leaves the rows and caps drawn before it as they are.
+    */
+  private val partitions = Gen.chooseNum(1, 4)
+
   /** Caps that fall inside a tie of `counts`: each keeps the first of two
     * equal counts, ranked most frequent first, and drops the second.
     */
@@ -91,9 +98,9 @@ class TableProfilePropertiesSpec extends SparkSpec {
   private val pairs = Seq("word" -> "mixed", "mixed" -> "word", "word" -> "empty", "qty" -> "word")
 
   test("TableProfile equals the per-column profile queries") {
-    Seeded.forAll(table, n = 25) { rows =>
-      val df = spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), schema)
-      // The pairs' rows in the melt leave every column's profile as it is.
+    Seeded.forAll(Gen.zip(table, partitions), n = 25) { case (rows, parts) =>
+      val df = spark.createDataFrame(spark.sparkContext.parallelize(rows, parts), schema)
+      // Counting the pairs leaves every column's profile as it is.
       val profile = TableProfile.of(df, pairs)
       assert(profile.columns.keySet == schema.fieldNames.toSet)
       assert(profile.rowCount == rows.size)
@@ -103,11 +110,15 @@ class TableProfilePropertiesSpec extends SparkSpec {
   }
 
   test("scoreFds equals the per-pair FD queries") {
-    val gen = for { rows <- table; cap <- capIn(violatingSizes(rows, "word", "mixed"), 1000) } yield (rows, cap)
+    val gen = for {
+      rows  <- table
+      cap   <- capIn(violatingSizes(rows, "word", "mixed"), 1000)
+      parts <- partitions
+    } yield (rows, parts, cap)
     var straddled = 0
-    Seeded.forAll(gen, n = 15) { case (rows, cap) =>
+    Seeded.forAll(gen, n = 15) { case (rows, parts, cap) =>
       if (tieCaps(violatingSizes(rows, "word", "mixed")).contains(cap)) straddled += 1
-      val df = spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), schema)
+      val df = spark.createDataFrame(spark.sparkContext.parallelize(rows, parts), schema)
       val fds = Profiler.scoreFds(TableProfile.of(df, pairs), pairs, maxGroups = cap)
       for (((lhs, rhs), fd) <- pairs.zip(fds)) {
         assert((fd.lhs, fd.rhs) == (lhs, rhs))
