@@ -11,7 +11,7 @@ import repro.llm.SimulatedLLM
   */
 object DebugJob {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("cocoon-debug")
       .config("spark.sql.shuffle.partitions", "16")

@@ -10,7 +10,7 @@ import repro.eval.Harness
   */
 object Table1Job {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("cocoon-table1")
       .config("spark.sql.shuffle.partitions", "16")

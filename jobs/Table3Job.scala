@@ -8,7 +8,7 @@ import repro.eval.Harness
   */
 object Table3Job {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder
+    val spark = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName("cocoon-table3")
       .config("spark.sql.shuffle.partitions", "16")

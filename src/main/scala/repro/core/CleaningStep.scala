@@ -85,12 +85,6 @@ object CleaningStep {
   def stringColumns(df: DataFrame, exclude: Set[String]): Seq[String] =
     df.schema.fields.filter(f => f.dataType == StringType && !exclude(f.name)).map(_.name).toSeq
 
-  /** The step for `issue` that rewrites each of `columns` as `f` decides; a
-    * no-op when `f` rewrites none of them.
-    */
-  def perColumn(issue: String, columns: Seq[String])(f: String => Option[ColumnRewrite]): CleaningStep =
-    CleaningStep(issue, columns.flatMap(f))
-
   /** Render a rewrite as a SQL expression in dialect `d`: Spark runs it, and
     * the DuckDB oracle re-runs the same logical SQL in its own spelling.
     */

@@ -20,7 +20,7 @@ object ColumnType {
   private val MaxValues = 3000
 
   def step(columns: Seq[String], profile: TableProfile, llm: LLMClient): CleaningStep =
-    CleaningStep.perColumn("column-type", columns) { c =>
+    CleaningStep("column-type", columns.flatMap { c =>
       val values = profile.frequentValues(c, MaxValues)
       llm.suggestType(c, "string", values).flatMap { sug =>
         // How each value is rewritten, and what the reasoning adds.
@@ -37,5 +37,5 @@ object ColumnType {
           )
         }
       }
-    }
+    })
 }

@@ -15,7 +15,7 @@ object Dmv {
   private val MaxValues = 2000
 
   def step(columns: Seq[String], profile: TableProfile, llm: LLMClient): CleaningStep =
-    CleaningStep.perColumn("dmv", columns) { c =>
+    CleaningStep("dmv", columns.flatMap { c =>
       val values = profile.frequentValues(c, MaxValues)
       val dmv    = llm.identifyDmv(c, values).distinct.sorted
       Option.when(dmv.nonEmpty)(
@@ -25,5 +25,5 @@ object Dmv {
           s"Values ${dmv.map(v => s"'$v'").mkString(", ")} semantically denote a missing value; replaced with NULL.",
         )
       )
-    }
+    })
 }

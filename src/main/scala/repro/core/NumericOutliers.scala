@@ -13,7 +13,7 @@ import repro.profile.TableProfile
 object NumericOutliers {
 
   def step(columns: Seq[String], profile: TableProfile, llm: LLMClient): CleaningStep =
-    CleaningStep.perColumn("numeric-outliers", columns) { c =>
+    CleaningStep("numeric-outliers", columns.flatMap { c =>
       val prof = profile(c)
       if (prof.numericParseRate < 0.99 || prof.minNumeric.isEmpty) None
       else
@@ -27,5 +27,5 @@ object NumericOutliers {
               s"acceptable [$lo, $hi] for '$c'; out-of-range values nulled.",
           )
         }
-    }
+    })
 }

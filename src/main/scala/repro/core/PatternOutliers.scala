@@ -18,7 +18,7 @@ object PatternOutliers {
   private val MaxValues = 3000
 
   def step(columns: Seq[String], profile: TableProfile, llm: LLMClient): CleaningStep =
-    CleaningStep.perColumn("pattern-outliers", columns) { c =>
+    CleaningStep("pattern-outliers", columns.flatMap { c =>
       val values = profile.frequentValues(c, MaxValues)
       llm.reviewPatterns(c, values).flatMap { review =>
         val family = Knowledge.formatFamilies.find(_.name == review.familyName).get
@@ -40,5 +40,5 @@ object PatternOutliers {
           )
         )
       }
-    }
+    })
 }

@@ -20,7 +20,7 @@ object StringOutliers {
   private val BatchSize = 1000
 
   def step(columns: Seq[String], profile: TableProfile, llm: LLMClient): CleaningStep =
-    CleaningStep.perColumn("string-outliers", columns) { c =>
+    CleaningStep("string-outliers", columns.flatMap { c =>
       val values = profile.frequentValues(c, MaxValues)
       // One LLM call per batch of distinct values, as the paper does to stay
       // inside the context window on wide domains.
@@ -47,5 +47,5 @@ object StringOutliers {
           )
         )
       }
-    }
+    })
 }

@@ -5,10 +5,10 @@ import scala.collection.mutable
 import org.apache.spark.sql.{Column, DataFrame, functions => F}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.{BoundReference, Cast, EvalMode}
-import org.apache.spark.sql.catalyst.util.SQLOrderingUtil
 import org.apache.spark.sql.execution.SQLExecution
 import org.apache.spark.sql.types.{ByteType, DataType, DoubleType, IntegerType, LongType, ShortType, StringType, StructField}
 import org.apache.spark.unsafe.types.UTF8String
+import repro.profile.ColumnProfile.Numbers
 import repro.util.SqlGen
 
 /** A value with its occurrence count, from a column's frequency profile. */
@@ -62,38 +62,52 @@ final case class ColumnProfile(
 
 object ColumnProfile {
 
-  /** The profile of column `name` from its (value, rows, number) table, one
-    * entry per distinct value, the null value included: every non-null value
-    * in [[ValueCount.ranked]] order, and the
-    * numbers' min and max (NaN above every other number, as in Spark's `min`
-    * and `max`) and parse rate over the non-null rows.
+  /** The numbers of a column's rows: how many rows have one, and their min
+    * and max in `Ordering.Double.TotalOrdering`, the one order the profile
+    * takes them in (NaN above every other number, as in Spark's `min` and
+    * `max`, and -0.0 below 0.0). With no rows, min is NaN and max -∞: the
+    * identities of that order's `min` and `max`.
     */
-  def of(name: String, values: Iterable[(String, Long, Option[Double])]): ColumnProfile = {
+  final case class Numbers(rows: Long = 0L, min: Double = Double.NaN, max: Double = Double.NegativeInfinity) {
+    def add(d: Double, n: Long = 1L): Numbers = this ++ Numbers(n, d, d)
+    def ++(o: Numbers): Numbers = Numbers(rows + o.rows, order.min(min, o.min), order.max(max, o.max))
+  }
+
+  private val order = Ordering.Double.TotalOrdering
+
+  /** The profile of column `name` from its merged (value, rows) table, one
+    * entry per distinct value, the null value included, and the numbers of
+    * its rows: every non-null value in [[ValueCount.ranked]] order, and the
+    * numbers' min, max and parse rate over the non-null rows.
+    */
+  def of(name: String, values: Iterable[(String, Long)], numbers: Numbers): ColumnProfile = {
     val (nulls, present) = values.partition(_._1 == null)
     val nullCount = nulls.map(_._2).sum
     val nonNull   = present.map(_._2).sum
-    val nums      = present.collect { case (_, n, Some(d)) => (d, n) }
     ColumnProfile(
       name = name,
       rowCount = nullCount + nonNull,
       nullCount = nullCount,
       distinctCount = present.size,
-      frequentValues = present.map { case (v, n, _) => ValueCount(v, n) }.toSeq.sorted(ValueCount.ranked),
-      minNumeric = nums.map(_._1).minOption(Ordering.Double.TotalOrdering),
-      maxNumeric = nums.map(_._1).maxOption(Ordering.Double.TotalOrdering),
-      numericParseRate = if (nonNull == 0) 0.0 else nums.map(_._2).sum.toDouble / nonNull,
+      frequentValues = present.map { case (v, n) => ValueCount(v, n) }.toSeq.sorted(ValueCount.ranked),
+      minNumeric = Option.when(numbers.rows > 0)(numbers.min),
+      maxNumeric = Option.when(numbers.rows > 0)(numbers.max),
+      numericParseRate = if (nonNull == 0) 0.0 else numbers.rows.toDouble / nonNull,
     )
   }
 
   /** The profile of string column `name` holding `counts` (value, rows),
     * nulls included: equal values merged, values left with no rows dropped,
-    * and each distinct value's number Spark's `TRY_CAST(value AS DOUBLE)`,
-    * taken once per value; then ranked by [[of]].
+    * and the numbers taken from each distinct value's Spark
+    * `TRY_CAST(value AS DOUBLE)`, once per value, after the merge; then
+    * ranked by [[of]].
     */
-  def ofStrings(name: String, counts: Iterable[(String, Long)]): ColumnProfile =
-    of(name, counts.groupMapReduce(_._1)(_._2)(_ + _).collect {
-      case (v, n) if n > 0 => (v, n, Option(number.eval(InternalRow(UTF8String.fromString(v)))).map(_.asInstanceOf[Double]))
+  def ofStrings(name: String, counts: Iterable[(String, Long)]): ColumnProfile = {
+    val values = counts.groupMapReduce(_._1)(_._2)(_ + _).filter(_._2 > 0)
+    of(name, values, values.foldLeft(Numbers()) { case (s, (v, n)) =>
+      Option(number.eval(InternalRow(UTF8String.fromString(v)))).fold(s) { case d: Double => s.add(d, n) }
     })
+  }
 
   /** Spark's `TRY_CAST(v AS DOUBLE)` of the string at ordinal 0. */
   private val number = Cast(BoundReference(0, StringType, nullable = true), DoubleType, evalMode = EvalMode.TRY)
@@ -134,15 +148,15 @@ object TableProfile {
     * column's value as text and, for a non-string column, its typed
     * `TRY_CAST` to double, NULL where Spark cannot cast the type to double
     * (DATE, BINARY, nested types). Each input partition's task counts its
-    * projected rows in place: the rows of each (column, text), with the
-    * largest typed number as Spark's `max` orders them, and of each (pair,
-    * lhs text, rhs text) with neither side NULL. A pair is counted once in
-    * whichever order it comes first: joint counts serve both directions. The
-    * driver merges the partitions' counts, so it receives each distinct
-    * value at most once per partition, and every value stays in the profile.
-    * A string column's values are ranked, and their numbers taken once per
-    * distinct value, by [[ColumnProfile.ofStrings]]; any other column's by
-    * [[ColumnProfile.of]].
+    * projected rows in place: the rows of each (column, text) and of each
+    * (pair, lhs text, rhs text) with neither side NULL, and each typed
+    * column's [[ColumnProfile.Numbers]], row by row. A pair is counted once
+    * in whichever order it comes first: joint counts serve both directions.
+    * The driver sums the partitions' counts and combines their numbers, so
+    * it receives each distinct value at most once per partition, and every
+    * value stays in the profile. A string column's values are ranked, and
+    * their numbers taken once per distinct value, by
+    * [[ColumnProfile.ofStrings]]; any other column's by [[ColumnProfile.of]].
     */
   def of(df: DataFrame, pairs: Seq[(String, String)] = Seq.empty): TableProfile = {
     val fields = df.schema.fields.toSeq
@@ -159,40 +173,40 @@ object TableProfile {
 
     val qe = projected.queryExecution
     val parts = SQLExecution.withNewExecutionId(qe, Some("profile")) {
-      qe.toRdd.mapPartitions(rows => Iterator(countPartition(rows, numberAt, pairAt))).collect()
+      qe.toRdd.mapPartitions(rows => Iterator(countPartition(rows, numberAt, pairAt))).collect().toSeq
     }
 
     val profiles = fields.zipWithIndex.map { case (f, i) =>
       val values = parts.flatMap(_.values(i))
-      f.name -> (if (isString(f)) ColumnProfile.ofStrings(f.name, values.map { case (v, n, _) => v -> n }) else ColumnProfile.of(f.name, merged(values)))
+      f.name -> (if (isString(f)) ColumnProfile.ofStrings(f.name, values) else ColumnProfile.of(f.name, summed(values), parts.map(_.numbers(i)).foldLeft(Numbers())(_ ++ _)))
     }
-    val joints = counted.indices.map(j => counted(j) -> parts.flatMap(_.joints(j)).groupMapReduce(_._1)(_._2)(_ + _))
+    val joints = counted.indices.map(j => counted(j) -> summed(parts.flatMap(_.joints(j))))
     TableProfile(profiles.head._2.rowCount, profiles.toMap, joints.toMap)
   }
 
-  /** One partition's counts: each column's (text, rows, largest typed
-    * number), and each pair's ((lhs text, rhs text), rows).
+  /** One partition's counts: each column's (text, rows) and numbers (empty
+    * for a string column), and each pair's ((lhs text, rhs text), rows).
     */
-  private final case class Counts(values: Array[Array[(String, Long, Option[Double])]], joints: Array[Array[((String, String), Long)]])
+  private final case class Counts(values: Array[Array[(String, Long)]], numbers: Array[Numbers], joints: Array[Array[((String, String), Long)]])
 
-  /** The rows of one value, and its largest typed number. */
-  private final class Tally(var rows: Long = 0L, var number: Option[Double] = None)
+  /** The rows of one value. */
+  private final class Tally(var rows: Long = 0L)
 
   /** Count one partition of the projection [[of]] runs: `numberAt(i)` is the
     * ordinal of column i's typed number (-1 for none), and each of `pairAt`
     * the ordinals of a pair's two texts.
     */
   private def countPartition(rows: Iterator[InternalRow], numberAt: Array[Int], pairAt: Array[(Int, Int)]): Counts = {
-    val values = Array.fill(numberAt.length)(mutable.HashMap.empty[UTF8String, Tally])
-    val joints = Array.fill(pairAt.length)(mutable.HashMap.empty[(UTF8String, UTF8String), Tally])
-    val texts  = new Array[UTF8String](numberAt.length)
+    val values  = Array.fill(numberAt.length)(mutable.HashMap.empty[UTF8String, Tally])
+    val numbers = Array.fill(numberAt.length)(Numbers())
+    val joints  = Array.fill(pairAt.length)(mutable.HashMap.empty[(UTF8String, UTF8String), Tally])
+    val texts   = new Array[UTF8String](numberAt.length)
     for (row <- rows) {
       for (i <- texts.indices) {
         texts(i) = if (row.isNullAt(i)) null else row.getUTF8String(i)
-        val t = tally(values(i), texts(i))(s => if (s == null) null else s.clone())
-        t.rows += 1
+        tally(values(i), texts(i))(s => if (s == null) null else s.clone()).rows += 1
         val k = numberAt(i)
-        if (k >= 0 && !row.isNullAt(k)) t.number = larger(t.number, Some(row.getDouble(k)))
+        if (k >= 0 && !row.isNullAt(k)) numbers(i) = numbers(i).add(row.getDouble(k))
       }
       for (j <- pairAt.indices) {
         val (l, r) = (texts(pairAt(j)._1), texts(pairAt(j)._2))
@@ -201,28 +215,20 @@ object TableProfile {
     }
     def text(s: UTF8String): String = if (s == null) null else s.toString
     Counts(
-      values.map(_.iterator.map { case (v, t) => (text(v), t.rows, t.number) }.toArray),
+      values.map(_.iterator.map { case (v, t) => text(v) -> t.rows }.toArray),
+      numbers,
       joints.map(_.iterator.map { case ((l, r), t) => (text(l), text(r)) -> t.rows }.toArray),
     )
   }
 
-  /** A typed column's (text, rows, number) from every partition, merged per
-    * text: rows summed, and the larger number kept.
-    */
-  private def merged(values: Iterable[(String, Long, Option[Double])]): Iterable[(String, Long, Option[Double])] =
-    values.groupMapReduce(_._1)(v => (v._2, v._3)) { case ((n, a), (m, b)) => (n + m, larger(a, b)) }.map { case (v, (n, d)) => (v, n, d) }
+  /** Every partition's (key, rows), summed per key. */
+  private def summed[K](counts: Iterable[(K, Long)]): Map[K, Long] = counts.groupMapReduce(_._1)(_._2)(_ + _)
 
   /** The tally of `key` in `counts`, added under `copy(key)` if missing: a
     * projected row's strings point into a buffer the next row reuses.
     */
   private def tally[K](counts: mutable.HashMap[K, Tally], key: K)(copy: K => K): Tally =
     counts.getOrElse(key, { val t = new Tally; counts(copy(key)) = t; t })
-
-  /** The larger of two numbers as Spark's `max` orders them: NaN above every other number. */
-  private def larger(a: Option[Double], b: Option[Double]): Option[Double] = (a, b) match {
-    case (Some(x), Some(y)) => if (SQLOrderingUtil.compareDoubles(y, x) > 0) b else a
-    case _                  => a.orElse(b)
-  }
 
   private def isString(f: StructField): Boolean = f.dataType.isInstanceOf[StringType]
 

@@ -1,6 +1,7 @@
 package repro.profile
 
 import java.sql.{Date, Timestamp}
+import java.time.Instant
 
 import org.apache.spark.sql.Row
 import org.apache.spark.sql.types.{
@@ -17,11 +18,13 @@ import repro.{Seeded, SparkSpec}
   * quoted values, values whose UTF-8 and UTF-16 orders differ, tied counts
   * with group caps that fall inside a tie, an all-null column, a
   * unique key and typed columns: integer, double (NaN, both zeros, both
-  * infinities), float, boolean, decimal, date and timestamp. The profile
-  * casts a string column once per distinct value and the reference once per
-  * cell. Each table is split into 1–4 partitions, so the driver's merge of
-  * the partitions' counts is checked too: counts summed, typed maxima
-  * merged, NULLs and pair values split across partitions.
+  * infinities), float, boolean, decimal, date and timestamp, and a
+  * timestamp whose two instants print as the same New York time. The
+  * profile casts a string column once per distinct value and the reference
+  * once per cell. Each table is split into 1–4 partitions, so the driver's
+  * merge of the partitions' counts is checked too: counts summed, each
+  * typed column's numbers combined, NULLs and pair values split across
+  * partitions.
   */
 class TableProfilePropertiesSpec extends SparkSpec {
 
@@ -37,6 +40,7 @@ class TableProfilePropertiesSpec extends SparkSpec {
     StructField("dec", DecimalType(10, 2)),
     StructField("day", DateType),
     StructField("ts", TimestampType),
+    StructField("dst", TimestampType),
   ))
 
   // Small pools, so counts tie often. U+FFFD and U+1F600 sort one way in
@@ -52,10 +56,14 @@ class TableProfilePropertiesSpec extends SparkSpec {
     new java.math.BigDecimal("12345678.99"))
   private val day = Gen.oneOf[Date](null, Date.valueOf("2020-01-02"), Date.valueOf("1969-12-31"))
   private val ts  = Gen.oneOf[Timestamp](null, Timestamp.valueOf("2020-01-02 03:04:05.123"), Timestamp.valueOf("1970-01-01 00:00:00"))
+  // 01:30 EDT and 01:30 EST in New York's fall-back hour: one text, two
+  // numbers. Alone in their column, so either can be its min.
+  private val dst = Gen.oneOf[Timestamp](null, Timestamp.from(Instant.parse("2021-11-07T05:30:00Z")),
+    Timestamp.from(Instant.parse("2021-11-07T06:30:00Z")))
 
   private val row: Gen[Long => Row] = for {
-    w <- word; m <- mixed; i <- int; d <- dbl; f <- flt; b <- flag; c <- dec; dy <- day; t <- ts
-  } yield (k: Long) => Row(k, w, m, null, i, d, f, b, c, dy, t)
+    w <- word; m <- mixed; i <- int; d <- dbl; f <- flt; b <- flag; c <- dec; dy <- day; t <- ts; ds <- dst
+  } yield (k: Long) => Row(k, w, m, null, i, d, f, b, c, dy, t, ds)
 
   private val table: Gen[Seq[Row]] = for {
     n    <- Gen.chooseNum(0, 30)
@@ -98,7 +106,10 @@ class TableProfilePropertiesSpec extends SparkSpec {
   private val pairs = Seq("word" -> "mixed", "mixed" -> "word", "word" -> "empty", "qty" -> "word")
 
   test("TableProfile equals the per-column profile queries") {
-    Seeded.forAll(Gen.zip(table, partitions), n = 25) { case (rows, parts) =>
+    // In New York `dst`'s two instants print alike.
+    val zone = spark.conf.get("spark.sql.session.timeZone")
+    spark.conf.set("spark.sql.session.timeZone", "America/New_York")
+    try Seeded.forAll(Gen.zip(table, partitions), n = 25) { case (rows, parts) =>
       val df = spark.createDataFrame(spark.sparkContext.parallelize(rows, parts), schema)
       // Counting the pairs leaves every column's profile as it is.
       val profile = TableProfile.of(df, pairs)
@@ -107,6 +118,7 @@ class TableProfilePropertiesSpec extends SparkSpec {
       for (c <- schema.fieldNames)
         assert(comparable(profile(c)) == comparable(ReferenceProfiler.profileColumn(df, c)), s"column $c of $rows")
     }
+    finally spark.conf.set("spark.sql.session.timeZone", zone)
   }
 
   test("scoreFds equals the per-pair FD queries") {
