@@ -33,12 +33,7 @@ final class HoloCleanLite extends CleaningSystem {
     // Repairs computed from the (possibly sampled) dirty state, then applied.
     val repairs = scala.collection.mutable.Map.empty[(Int, String), String]
     for ((lhs, rhs) <- ds.fdConstraints if t.colIdx.contains(lhs) && t.colIdx.contains(rhs)) {
-      val groups = scala.collection.mutable.Map.empty[String, scala.collection.mutable.Map[String, Int]]
-      for (r <- 0 until limit) {
-        val lv = t.value(r, lhs); val rv = t.value(r, rhs)
-        if (lv != null && rv != null)
-          groups.getOrElseUpdate(lv, scala.collection.mutable.Map.empty.withDefaultValue(0))(rv) += 1
-      }
+      val groups = LocalTable.groupRhs(t, lhs, rhs, limit)
       for (r <- 0 until limit) {
         val lv = t.value(r, lhs); val rv = t.value(r, rhs)
         if (lv != null && rv != null) {

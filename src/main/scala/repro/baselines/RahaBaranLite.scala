@@ -105,7 +105,7 @@ final class RahaBaranLite extends CleaningSystem {
     val cleanRows = ds.clean.select(ds.keyCol, ds.dataColumns: _*).collect()
       .map(r => r.getLong(0) -> r).toMap
     val fds = ds.fdConstraints.filter { case (l, r) => t.colIdx.contains(l) && t.colIdx.contains(r) }
-    val groupsByFd0 = fds.map { case (l, r) => (l, r) -> LocalTable.groupRhs(t, l, r) }.toMap
+    val groupsByFd0 = fds.map { case (l, r) => (l, r) -> LocalTable.groupRhs(t, l, r, t.n) }.toMap
 
     /** Does some dependency explain this cell as a context error (its group
       * has a ≥50% plurality that differs from the cell value)? Such labels
@@ -140,7 +140,7 @@ final class RahaBaranLite extends CleaningSystem {
       applyRules(rules, c, t.value(r, c)).foreach(t.set(r, c, _))
 
     // ---- Baran pass 2: FD plurality repair with consistency veto
-    val groupsByFd = fds.map { case (l, r) => (l, r) -> LocalTable.groupRhs(t, l, r) }.toMap
+    val groupsByFd = fds.map { case (l, r) => (l, r) -> LocalTable.groupRhs(t, l, r, t.n) }.toMap
     val byRhs = fds.groupBy(_._2)
     val repairs = scala.collection.mutable.Map.empty[(Int, String), String]
     for ((l, rhs) <- fds; r <- 0 until t.n) {

@@ -11,8 +11,8 @@ import repro.util.SqlGen.Dialect
   */
 final case class CocoonConfig(keyCol: String = "row_id", tableDesc: String = "table")
 
-/** The result of a Cocoon run: the cleaned DataFrame, the per-issue steps
-  * that fired, and the input's columns. `script` is the full commented SQL
+/** The result of a Cocoon run: the cleaned DataFrame and the per-issue
+  * steps that fired. `script` is the full commented SQL
   * script (Figure 5 analogue), a CTE chain equivalent to what was executed;
   * [[CleaningStep.renderScript]] renders the same steps in another dialect.
   *
@@ -20,7 +20,11 @@ final case class CocoonConfig(keyCol: String = "row_id", tableDesc: String = "ta
   * persists nothing: every read of it runs the whole chain again, so cache
   * it to read it twice.
   */
-final case class CocoonResult(cleaned: DataFrame, steps: Seq[CleaningStep], columns: Seq[String]) {
+final case class CocoonResult(cleaned: DataFrame, steps: Seq[CleaningStep]) {
+
+  /** The input's columns: no step adds, drops or reorders one. */
+  def columns: Seq[String] = cleaned.columns.toSeq
+
   lazy val script: String = CleaningStep.renderScript(steps, columns, Dialect.Spark)
 }
 
@@ -91,6 +95,6 @@ object CocoonPipeline {
         steps :+= step
       }
     }
-    CocoonResult(df, steps, columns)
+    CocoonResult(df, steps)
   }
 }

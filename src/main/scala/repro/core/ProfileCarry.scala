@@ -47,11 +47,11 @@ object ProfileCarry {
             after <- r.rewrite match {
               case FdRepair(cases) =>
                 Option.when(disjoint(cases))(
-                  Rewritten(valueCounts(before) ++ cases.flatMap(k => Seq(k.badRhs -> -k.rows, k.target -> k.rows)), None))
+                  Rewritten(before.counts.toSeq ++ cases.flatMap(k => Seq(k.badRhs -> -k.rows, k.target -> k.rows)), None))
               case _ =>
                 Option.when(expr.references.subsetOf(AttributeSet(in))) {
                   val bound  = BindReferences.bindReference(folded(expr), Seq(in))
-                  val values = valueCounts(before).map { case (v, n) => (v, Option(bound.eval(row(v))).map(_.toString).orNull, n) }
+                  val values = before.counts.toSeq.map { case (v, n) => (v, Option(bound.eval(row(v))).map(_.toString).orNull, n) }
                   Rewritten(values.map { case (_, to, n) => to -> n }, Some(values.map { case (v, to, _) => v -> to }.toMap))
                 }
             }
@@ -65,7 +65,7 @@ object ProfileCarry {
           val pairs = profile.pairs.collect {
             case ((l, r), joint) if !repaired(l) && !repaired(r) => (l, r) -> mapJoint(joint, maps.get(l), maps.get(r))
           }
-          profile.copy(columns = profile.columns ++ rewritten.map { case (c, a) => c -> ColumnProfile.ofStrings(c, a.counts) }, pairs = pairs)
+          profile.copy(columns = profile.columns ++ rewritten.map { case (c, a) => c -> ColumnProfile.ofStrings(a.counts) }, pairs = pairs)
         }
       case _ => None
     }
@@ -87,10 +87,6 @@ object ProfileCarry {
         .map { case ((l, r), n) => (lhs.fold(l)(_(l)), rhs.fold(r)(_(r))) -> n }
         .filter { case ((l, r), _) => l != null && r != null }
         .groupMapReduce(_._1)(_._2)(_ + _)
-
-  /** A column's full (value, count) table, nulls included. */
-  private def valueCounts(p: ColumnProfile): Seq[(String, Long)] =
-    (null: String, p.nullCount) +: p.frequentValues.map(v => v.value -> v.count)
 
   /** No row matches two arms: arms sharing a bad value share one lhs column
     * and differ in its value.

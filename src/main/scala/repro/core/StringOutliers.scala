@@ -6,31 +6,21 @@ import repro.profile.TableProfile
 /** §2.1.1 String Outliers.
   *
   * Statistical detection samples each string column's 1000 most frequent
-  * values; semantic detection asks the LLM (Figure 2 prompt) to review one
-  * batch at a time for typos and inconsistent representations; semantic
+  * values; semantic detection asks the LLM (Figure 2 prompt) to review them,
+  * in one call, for typos and inconsistent representations; semantic
   * cleaning asks for an erroneous→correct mapping (Figure 3 prompt) and emits
   * a CASE WHEN rewrite.
   */
 object StringOutliers {
 
-  /** Most frequent values the LLM reviews per column. */
+  /** Most frequent values the LLM reviews per column, in one call: §2.1.1's batch. */
   private val MaxValues = 1000
-
-  /** Values per LLM call: §2.1.1's batch. */
-  private val BatchSize = 1000
 
   def step(columns: Seq[String], profile: TableProfile, llm: LLMClient): CleaningStep =
     CleaningStep("string-outliers", columns.flatMap { c =>
       val values = profile.frequentValues(c, MaxValues)
-      // One LLM call per batch of distinct values, as the paper does to stay
-      // inside the context window on wide domains.
-      val unusual = values
-        .grouped(BatchSize)
-        .flatMap { batch =>
-          val review = llm.reviewStringOutliers(c, batch)
-          if (review.unusual) review.unusualValues else Seq.empty
-        }
-        .toSeq
+      // A column with no non-null value makes no call.
+      val unusual = Option.when(values.nonEmpty)(llm.reviewStringOutliers(c, values)).filter(_.unusual).toSeq.flatMap(_.unusualValues)
       if (unusual.isEmpty) None
       else {
         val mapping = llm

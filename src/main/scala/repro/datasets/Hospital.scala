@@ -70,7 +70,7 @@ object Hospital {
   )
 
   /** Counts per error class; asserted by tests against Table 2's row. */
-  val typoTarget = 213; val fdTarget = 331; val colTypeTarget = 3000; val dmvTarget = 227
+  val typoTarget = 213; val fdTarget = 331; val dmvTarget = 227
 
   def generate(spark: SparkSession, seed: Long = 42): BenchDataset = {
     val rnd = new Random(seed)

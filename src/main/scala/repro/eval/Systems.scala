@@ -44,11 +44,13 @@ object LocalTable {
     new LocalTable(cols, ids, cells)
   }
 
-  /** lhsValue → (rhsValue → count), over rows where both are non-null. */
-  def groupRhs(t: LocalTable, lhs: String, rhs: String): Map[String, Map[String, Int]] = {
+  /** lhsValue → (rhsValue → count), over the first `rows` rows where both
+    * are non-null.
+    */
+  def groupRhs(t: LocalTable, lhs: String, rhs: String, rows: Int): Map[String, Map[String, Int]] = {
     val m = scala.collection.mutable.Map.empty[String, scala.collection.mutable.Map[String, Int]]
     var r = 0
-    while (r < t.n) {
+    while (r < rows) {
       val lv = t.value(r, lhs); val rv = t.value(r, rhs)
       if (lv != null && rv != null) {
         val inner = m.getOrElseUpdate(lv, scala.collection.mutable.Map.empty.withDefaultValue(0))

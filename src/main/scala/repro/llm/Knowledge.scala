@@ -131,10 +131,6 @@ object Knowledge {
     "resistance", "stroke", "injury", "women", "men", "children",
   )
 
-  /** Tokenise a free-text value into lowercase word tokens. */
-  def tokens(v: String): Seq[String] =
-    Option(v).toSeq.flatMap(_.toLowerCase.split("[^a-z]+").toSeq).filter(_.nonEmpty)
-
   /** Dictionary candidates within Damerau distance `maxD` of a token,
     * nearest-first then alphabetical (deterministic tie-break).
     */

@@ -116,7 +116,6 @@ final class SimulatedLLM extends LLMClient {
       // the edit distance is at least the length difference
       .filter(u => math.abs(u.value.toLowerCase.length - lower.length) <= maxD)
       .filterNot(u => digitOnlyDiff(lower, u.value.toLowerCase))
-      .filterNot(u => numericLike(u.value) && numericLike(v.value))
       .map(u => (u, Knowledge.damerau(lower, u.value.toLowerCase)))
       .filter { case (_, d) => d > 0 && d <= maxD }
       .sortBy { case (u, d) => (d, -u.count, u.value) }

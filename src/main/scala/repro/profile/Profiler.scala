@@ -45,19 +45,26 @@ object ValueCount {
 
 /** Profile of a single column (paper §2: "Cocoon leverages traditional
   * statistical methods to profile the tables ... and includes these in the
-  * prompt").
+  * prompt"): the (value, rows) table the profile counted, one entry per
+  * distinct value and one under the `null` key when some row is NULL, and
+  * the numbers of its rows. Every count is read off that table.
   */
 final case class ColumnProfile(
-    name: String,
-    rowCount: Long,
-    nullCount: Long,
-    distinctCount: Long,
-    frequentValues: Seq[ValueCount],
+    counts: Map[String, Long],
     minNumeric: Option[Double],
     maxNumeric: Option[Double],
     numericParseRate: Double,
 ) {
+  def rowCount: Long      = counts.values.sum
+  def nullCount: Long     = counts.getOrElse(null, 0L)
+  def distinctCount: Long = counts.size - (if (counts.contains(null)) 1 else 0)
   def uniqueRatio: Double = if (rowCount == 0) 0.0 else distinctCount.toDouble / rowCount
+
+  /** Every non-null value in [[ValueCount.ranked]] order, ranked when first
+    * read: a column no stage lists, such as the key, is never sorted.
+    */
+  lazy val frequentValues: Seq[ValueCount] =
+    counts.iterator.collect { case (v, n) if v != null => ValueCount(v, n) }.toSeq.sorted(ValueCount.ranked)
 }
 
 object ColumnProfile {
@@ -75,36 +82,28 @@ object ColumnProfile {
 
   private val order = Ordering.Double.TotalOrdering
 
-  /** The profile of column `name` from its merged (value, rows) table, one
-    * entry per distinct value, the null value included, and the numbers of
-    * its rows: every non-null value in [[ValueCount.ranked]] order, and the
-    * numbers' min, max and parse rate over the non-null rows.
+  /** The profile of a column from its merged (value, rows) table, nulls
+    * included, and the numbers of its rows: their min, max and parse rate
+    * over the non-null rows.
     */
-  def of(name: String, values: Iterable[(String, Long)], numbers: Numbers): ColumnProfile = {
-    val (nulls, present) = values.partition(_._1 == null)
-    val nullCount = nulls.map(_._2).sum
-    val nonNull   = present.map(_._2).sum
+  def of(counts: Map[String, Long], numbers: Numbers): ColumnProfile = {
+    val nonNull = counts.values.sum - counts.getOrElse(null, 0L)
     ColumnProfile(
-      name = name,
-      rowCount = nullCount + nonNull,
-      nullCount = nullCount,
-      distinctCount = present.size,
-      frequentValues = present.map { case (v, n) => ValueCount(v, n) }.toSeq.sorted(ValueCount.ranked),
-      minNumeric = Option.when(numbers.rows > 0)(numbers.min),
-      maxNumeric = Option.when(numbers.rows > 0)(numbers.max),
-      numericParseRate = if (nonNull == 0) 0.0 else numbers.rows.toDouble / nonNull,
+      counts,
+      Option.when(numbers.rows > 0)(numbers.min),
+      Option.when(numbers.rows > 0)(numbers.max),
+      if (nonNull == 0) 0.0 else numbers.rows.toDouble / nonNull,
     )
   }
 
-  /** The profile of string column `name` holding `counts` (value, rows),
-    * nulls included: equal values merged, values left with no rows dropped,
-    * and the numbers taken from each distinct value's Spark
-    * `TRY_CAST(value AS DOUBLE)`, once per value, after the merge; then
-    * ranked by [[of]].
+  /** The profile of a string column holding `counts` (value, rows), nulls
+    * included: equal values merged, values left with no rows dropped, and
+    * the numbers taken from each distinct value's Spark
+    * `TRY_CAST(value AS DOUBLE)`, once per value, after the merge.
     */
-  def ofStrings(name: String, counts: Iterable[(String, Long)]): ColumnProfile = {
+  def ofStrings(counts: Iterable[(String, Long)]): ColumnProfile = {
     val values = counts.groupMapReduce(_._1)(_._2)(_ + _).filter(_._2 > 0)
-    of(name, values, values.foldLeft(Numbers()) { case (s, (v, n)) =>
+    of(values, values.foldLeft(Numbers()) { case (s, (v, n)) =>
       Option(number.eval(InternalRow(UTF8String.fromString(v)))).fold(s) { case d: Double => s.add(d, n) }
     })
   }
@@ -113,10 +112,10 @@ object ColumnProfile {
   private val number = Cast(BoundReference(0, StringType, nullable = true), DoubleType, evalMode = EvalMode.TRY)
 }
 
-/** Profile of one table state: a [[ColumnProfile]] for every column, each
-  * keeping all its values in [[ValueCount.ranked]] order, and the joint
-  * counts of the column pairs it was asked to count. A stage reads the
-  * prefix it needs.
+/** Profile of one table state: its rows, a [[ColumnProfile]] for every
+  * column, each keeping its whole (value, rows) table, and the joint counts
+  * of the column pairs it was asked to count. A stage reads the prefix of
+  * ranked values it needs.
   */
 final case class TableProfile(
     rowCount: Long,
@@ -152,15 +151,14 @@ object TableProfile {
     * (pair, lhs text, rhs text) with neither side NULL, and each typed
     * column's [[ColumnProfile.Numbers]], row by row. A pair is counted once
     * in whichever order it comes first: joint counts serve both directions.
-    * The driver sums the partitions' counts and combines their numbers, so
-    * it receives each distinct value at most once per partition, and every
-    * value stays in the profile. A string column's values are ranked, and
-    * their numbers taken once per distinct value, by
-    * [[ColumnProfile.ofStrings]]; any other column's by [[ColumnProfile.of]].
+    * The driver sums the partitions' rows and counts and combines their
+    * numbers, so it receives each distinct value at most once per partition,
+    * and every value stays in the profile. A string column's numbers are
+    * taken once per distinct value, by [[ColumnProfile.ofStrings]]; any
+    * other column's come from its typed cast ([[ColumnProfile.of]]).
     */
   def of(df: DataFrame, pairs: Seq[(String, String)] = Seq.empty): TableProfile = {
     val fields = df.schema.fields.toSeq
-    if (fields.isEmpty) return TableProfile(df.count(), Map.empty)
     val counted = pairs.distinctBy { case (l, r) => Set(l, r) }
     val pairAt = counted.map { case (l, r) => (df.schema.fieldIndex(l), df.schema.fieldIndex(r)) }.toArray
 
@@ -178,16 +176,22 @@ object TableProfile {
 
     val profiles = fields.zipWithIndex.map { case (f, i) =>
       val values = parts.flatMap(_.values(i))
-      f.name -> (if (isString(f)) ColumnProfile.ofStrings(f.name, values) else ColumnProfile.of(f.name, summed(values), parts.map(_.numbers(i)).foldLeft(Numbers())(_ ++ _)))
+      f.name -> (if (isString(f)) ColumnProfile.ofStrings(values) else ColumnProfile.of(summed(values), parts.map(_.numbers(i)).foldLeft(Numbers())(_ ++ _)))
     }
     val joints = counted.indices.map(j => counted(j) -> summed(parts.flatMap(_.joints(j))))
-    TableProfile(profiles.head._2.rowCount, profiles.toMap, joints.toMap)
+    TableProfile(parts.map(_.rows).sum, profiles.toMap, joints.toMap)
   }
 
-  /** One partition's counts: each column's (text, rows) and numbers (empty
-    * for a string column), and each pair's ((lhs text, rhs text), rows).
+  /** One partition's counts: its rows, each column's (text, rows) and
+    * numbers (empty for a string column), and each pair's
+    * ((lhs text, rhs text), rows).
     */
-  private final case class Counts(values: Array[Array[(String, Long)]], numbers: Array[Numbers], joints: Array[Array[((String, String), Long)]])
+  private final case class Counts(
+      rows: Long,
+      values: Array[Array[(String, Long)]],
+      numbers: Array[Numbers],
+      joints: Array[Array[((String, String), Long)]],
+  )
 
   /** The rows of one value. */
   private final class Tally(var rows: Long = 0L)
@@ -201,7 +205,9 @@ object TableProfile {
     val numbers = Array.fill(numberAt.length)(Numbers())
     val joints  = Array.fill(pairAt.length)(mutable.HashMap.empty[(UTF8String, UTF8String), Tally])
     val texts   = new Array[UTF8String](numberAt.length)
+    var n       = 0L
     for (row <- rows) {
+      n += 1
       for (i <- texts.indices) {
         texts(i) = if (row.isNullAt(i)) null else row.getUTF8String(i)
         tally(values(i), texts(i))(s => if (s == null) null else s.clone()).rows += 1
@@ -215,6 +221,7 @@ object TableProfile {
     }
     def text(s: UTF8String): String = if (s == null) null else s.toString
     Counts(
+      n,
       values.map(_.iterator.map { case (v, t) => text(v) -> t.rows }.toArray),
       numbers,
       joints.map(_.iterator.map { case ((l, r), t) => (text(l), text(r)) -> t.rows }.toArray),

@@ -7,9 +7,8 @@ import scala.util.Random
 import org.apache.spark.sql.{DataFrame, Row, SparkSession}
 import org.apache.spark.sql.types.{DateType, IntegerType, LongType, StringType, StructField, StructType}
 import repro.JobCounting.countingJobs
-import repro.core.{CleaningStep, CocoonConfig, CocoonPipeline}
+import repro.core.{CocoonConfig, CocoonPipeline}
 import repro.llm.SimulatedLLM
-import repro.util.SqlGen.Dialect
 
 /** A seeded table, not a benchmark, on which one Cocoon run fires DMV,
   * column-type and numeric-outlier steps before an FD repair, then removes
@@ -103,13 +102,9 @@ class AllIssuesSpec extends SparkSpec {
       // The tie on c0010's date goes to the lower row key.
       assert(out.filter(_.getString(1) == "c0010").map(_.getLong(0)) == Seq(10L))
 
-      input.createOrReplaceTempView("input")
-      val (_, scriptFallbacks) = try CodegenFallbacks.counting {
-        val scripted = spark.sql(res.script)
-        assert(cleaned.exceptAll(scripted).isEmpty && scripted.exceptAll(cleaned).isEmpty)
-      } finally spark.catalog.dropTempView("input")
-      assert(fallbacks == 0 && scriptFallbacks == 0)
-      Oracle.assertEquivalent(dateAsText(cleaned), CleaningStep.renderScript(res.steps, res.columns, Dialect.DuckDb), "input" -> dateAsText(input))
+      assert(fallbacks == 0)
+      ScriptCheck.onSpark(res, input, cleaned, "all issues")
+      ScriptCheck.onDuckDb(res, dateAsText(input), dateAsText(cleaned))
     } finally cleaned.unpersist()
   }
 

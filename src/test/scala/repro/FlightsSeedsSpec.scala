@@ -40,15 +40,8 @@ class FlightsSeedsSpec extends SparkSpec {
         try (res, PaperGrid.cells(Metrics.score(ds, "Cocoon", out, Metrics.table1Excluded)))
         finally out.unpersist()
       }
-      ds.dirty.createOrReplaceTempView("input")
-      val (_, scriptFallbacks) = try CodegenFallbacks.counting {
-        val scripted = spark.sql(result.script).cache()
-        try assert(scripted.exceptAll(result.cleaned).isEmpty && result.cleaned.exceptAll(scripted).isEmpty,
-          s"seed $seed: the script's rows differ from cleaned")
-        finally scripted.unpersist()
-      } finally spark.catalog.dropTempView("input")
-      assert(runFallbacks == 0 && scriptFallbacks == 0,
-        s"seed $seed: whole-stage codegen fell back $runFallbacks times in the run, read and scoring, $scriptFallbacks in the script")
+      assert(runFallbacks == 0, s"seed $seed: whole-stage codegen fell back $runFallbacks times in the run, read and scoring")
+      ScriptCheck.onSpark(result, ds.dirty, result.cleaned, s"seed $seed")
       assert(got == cells, s"seed $seed")
     }
 }

@@ -1,9 +1,7 @@
 package repro
 
 import repro.bench.{CocoonRuns, PaperGrid}
-import repro.core.CleaningStep
 import repro.eval.Harness
-import repro.util.SqlGen.Dialect
 
 /** Cocoon's behaviour contract: the exact cell counts it produces on each of
   * the five benchmarks at their default seeds (pinned in [[PaperGrid]] with
@@ -66,14 +64,8 @@ class GoldenGridSpec extends SparkSpec {
       assert(runExecutions == runJobs + result.steps.size,
         s"$name: $runExecutions SQL executions in a run of $runJobs jobs and ${result.steps.size} steps")
 
-      ds.dirty.createOrReplaceTempView("input")
-      val (_, scriptFallbacks) = try CodegenFallbacks.counting {
-        val scripted = spark.sql(result.script)
-        assert(result.cleaned.exceptAll(scripted).isEmpty, s"$name: rows of cleaned missing from the script's output")
-        assert(scripted.exceptAll(result.cleaned).isEmpty, s"$name: rows of the script's output missing from cleaned")
-      } finally spark.catalog.dropTempView("input")
-      assert(fallbacks == 0 && scriptFallbacks == 0,
-        s"$name: whole-stage codegen fell back $fallbacks times in the run and its scoring, $scriptFallbacks in the script")
-      Oracle.assertEquivalent(result.cleaned, CleaningStep.renderScript(result.steps, result.columns, Dialect.DuckDb), "input" -> ds.dirty)
+      assert(fallbacks == 0, s"$name: whole-stage codegen fell back $fallbacks times in the run and its scoring")
+      ScriptCheck.onSpark(result, ds.dirty, result.cleaned, name)
+      ScriptCheck.onDuckDb(result, ds.dirty, result.cleaned)
     }
 }

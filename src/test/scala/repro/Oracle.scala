@@ -4,7 +4,6 @@ import java.sql.DriverManager
 import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.types.{DataType, DoubleType, IntegerType, LongType}
 import repro.util.SqlGen.identAnsi
-import scala.jdk.CollectionConverters._
 
 /** DuckDB correctness oracle.
   *

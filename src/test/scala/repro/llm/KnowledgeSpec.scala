@@ -113,8 +113,4 @@ class KnowledgeSpec extends AnyFunSuite {
     assert(plausibleRange("release_year").contains((1800.0, 2100.0)))
     assert(plausibleRange("whatever").isEmpty)
   }
-
-  test("tokens lowercases and splits on non-letters") {
-    assert(tokens("Effects of Treatment!") == Seq("effects", "of", "treatment"))
-  }
 }

@@ -106,11 +106,14 @@ class ProfilerSpec extends SparkSpec {
       (null, null, "2"),
     ).toDF("day", "bytes", "s")
     val p = TableProfile.of(d)
-    assert(p("day") == ColumnProfile("day", 3, 1, 1, Seq(ValueCount("2020-01-02", 2)), None, None, 0.0))
+    assert(p("day") == ColumnProfile(Map((null: String) -> 1L, "2020-01-02" -> 2L), None, None, 0.0))
     // Bytes "1" and "2" print as text that parses, but the column is binary.
-    assert(p("bytes") == ColumnProfile("bytes", 3, 1, 2, Seq(ValueCount("1", 1), ValueCount("2", 1)), None, None, 0.0))
+    assert(p("bytes") == ColumnProfile(Map((null: String) -> 1L, "1" -> 1L, "2" -> 1L), None, None, 0.0))
     assert(p("s").minNumeric.contains(1.0) && p("s").maxNumeric.contains(2.0))
-    for (c <- d.columns) assert(p(c) == ReferenceProfiler.profileColumn(d, c), c)
+    for (c <- d.columns) {
+      val ref = ReferenceProfiler.profileColumn(d, c)
+      assert(p(c) == ref.profile && p(c).frequentValues == ref.ranked, c)
+    }
   }
 
   test("a typed column's min and max are over its rows, not its texts") {
@@ -132,9 +135,12 @@ class ProfilerSpec extends SparkSpec {
 
   test("an all-null column and an empty table profile to zero counts") {
     val nulls = Seq[(String, String)](("a", null), ("b", null)).toDF("x", "y")
-    assert(TableProfile.of(nulls)("y") == ColumnProfile("y", 2, 2, 0, Seq.empty, None, None, 0.0))
+    val y = TableProfile.of(nulls)("y")
+    assert(y == ColumnProfile(Map((null: String) -> 2L), None, None, 0.0))
+    assert((y.rowCount, y.nullCount, y.distinctCount, y.frequentValues) == (2L, 2L, 0L, Seq.empty))
     val empty = TableProfile.of(nulls.limit(0))
-    assert(empty.rowCount == 0 && empty("x") == ColumnProfile("x", 0, 0, 0, Seq.empty, None, None, 0.0))
+    assert(empty.rowCount == 0 && empty("x") == ColumnProfile(Map.empty, None, None, 0.0))
+    assert((empty("x").rowCount, empty("x").nullCount, empty("x").distinctCount) == (0L, 0L, 0L))
   }
 
   test("a table with no profiled columns still counts its rows") {

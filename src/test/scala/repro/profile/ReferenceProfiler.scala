@@ -10,11 +10,17 @@ import org.apache.spark.sql.types.DoubleType
   */
 object ReferenceProfiler {
 
-  /** One column's profile, with all its values most frequent first: each
-    * cell cast to double, NULL where Spark cannot cast the column's type, and
-    * distinct values counted by their text, as they are listed.
+  /** One column's profile; its non-null values as Spark ranks them
+    * (`ORDER BY n DESC, v ASC`); and its rows and distinct values as Spark's
+    * `count` and `countDistinct` give them.
     */
-  def profileColumn(df: DataFrame, col: String): ColumnProfile = {
+  final case class Reference(profile: ColumnProfile, ranked: Seq[ValueCount], rows: Long, distinct: Long)
+
+  /** One column's reference: each cell cast to double, NULL where Spark
+    * cannot cast the column's type, and distinct values counted by their
+    * text, as they are listed.
+    */
+  def profileColumn(df: DataFrame, col: String): Reference = {
     val c = F.col(col)
     val num = if (Cast.canTryCast(df.schema(col).dataType, DoubleType)) c.try_cast("double") else F.lit(null).cast("double")
     val agg = df
@@ -38,16 +44,13 @@ object ReferenceProfiler {
       .collect()
       .map(r => ValueCount(r.getString(0), r.getLong(1)))
       .toSeq
-    ColumnProfile(
-      name = col,
-      rowCount = rows,
-      nullCount = nulls,
-      distinctCount = agg.getLong(2),
-      frequentValues = freq,
+    val profile = ColumnProfile(
+      counts = freq.map(v => v.value -> v.count).toMap ++ Option.when(nulls > 0)((null: String) -> nulls),
       minNumeric = Option(agg.get(3)).map(_.asInstanceOf[Double]),
       maxNumeric = Option(agg.get(4)).map(_.asInstanceOf[Double]),
       numericParseRate = if (nonNull == 0) 0.0 else agg.getLong(5).toDouble / nonNull,
     )
+    Reference(profile, freq, rows, agg.getLong(2))
   }
 
   /** (strength, violating group count) of lhs → rhs. */

@@ -13,9 +13,10 @@ import repro.{Seeded, SparkSpec}
 
 /** The one-pass [[TableProfile]], and [[Profiler.scoreFds]] over the pairs it
   * counted, agree exactly with the per-column and per-pair queries they
-  * replace ([[ReferenceProfiler]]),
-  * on small random tables with nulls, numeric and non-numeric strings,
-  * quoted values, values whose UTF-8 and UTF-16 orders differ, tied counts
+  * replace ([[ReferenceProfiler]]), each column's ranked values against
+  * Spark's `ORDER BY n DESC, v ASC` included, on small random tables with
+  * nulls, numeric and non-numeric strings, quoted values, values whose
+  * UTF-8 and UTF-16 orders differ, tied counts
   * with group caps that fall inside a tie, an all-null column, a
   * unique key and typed columns: integer, double (NaN, both zeros, both
   * infinities), float, boolean, decimal, date and timestamp, and a
@@ -115,8 +116,13 @@ class TableProfilePropertiesSpec extends SparkSpec {
       val profile = TableProfile.of(df, pairs)
       assert(profile.columns.keySet == schema.fieldNames.toSet)
       assert(profile.rowCount == rows.size)
-      for (c <- schema.fieldNames)
-        assert(comparable(profile(c)) == comparable(ReferenceProfiler.profileColumn(df, c)), s"column $c of $rows")
+      for (c <- schema.fieldNames) {
+        val (p, ref) = (profile(c), ReferenceProfiler.profileColumn(df, c))
+        assert(comparable(p) == comparable(ref.profile), s"column $c of $rows")
+        // The profile ranks its values as Spark orders them, ties included.
+        assert(p.frequentValues == ref.ranked, s"column $c of $rows")
+        assert((p.rowCount, p.distinctCount) == (ref.rows, ref.distinct), s"column $c of $rows")
+      }
     }
     finally spark.conf.set("spark.sql.session.timeZone", zone)
   }
