@@ -1,6 +1,5 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions._
 import repro.core.{CocoonConfig, CocoonPipeline, MapValues, MapToNull, FdRepair, RangeClamp}
 import repro.eval.{Harness, Metrics}
@@ -11,11 +10,7 @@ import repro.llm.SimulatedLLM
   */
 object DebugJob {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder()
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName("cocoon-debug")
-      .config("spark.sql.shuffle.partitions", "16")
-      .getOrCreate()
+    val spark = JobSession("cocoon-debug")
     val ds = Harness.dataset(spark, args.headOption.getOrElse("hospital"))
     val res = CocoonPipeline.run(spark, ds.dirty, new SimulatedLLM(), CocoonConfig(keyCol = ds.keyCol, tableDesc = ds.name))
     res.steps.foreach { st =>

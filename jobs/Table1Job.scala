@@ -1,6 +1,5 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
 import repro.eval.Harness
 
 /** Reproduces Table 1: P/R/F1 of all five systems on all five benchmarks,
@@ -10,11 +9,7 @@ import repro.eval.Harness
   */
 object Table1Job {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder()
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName("cocoon-table1")
-      .config("spark.sql.shuffle.partitions", "16")
-      .getOrCreate()
+    val spark = JobSession("cocoon-table1")
     val table   = Harness.table1.copy(datasets = Harness.table1.datasets.filter(d => args.lift(0).forall(d.contains)))
     val systems = Harness.allSystems().filter(s => args.lift(1).forall(s.name.toLowerCase.contains))
     val Seq(scores) = Harness.grid(spark, Seq(table), systems)

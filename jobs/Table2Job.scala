@@ -1,6 +1,5 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
 import repro.eval.Harness
 
 /** Reproduces Table 2: distribution of error types across the Hospital and
@@ -8,11 +7,7 @@ import repro.eval.Harness
   */
 object Table2Job {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder()
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName("cocoon-table2")
-      .config("spark.sql.shuffle.partitions", "16")
-      .getOrCreate()
+    val spark = JobSession("cocoon-table2")
     println("Table 2: distribution of error types (paper: Hospital 1000x19, Movies 7390x17)")
     for (name <- Seq("hospital", "movies")) {
       val ds = Harness.dataset(spark, name)

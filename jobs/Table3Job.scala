@@ -1,6 +1,5 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
 import repro.eval.Harness
 
 /** Reproduces Table 3 (Appendix B): Hospital and Movies scored with
@@ -8,11 +7,7 @@ import repro.eval.Harness
   */
 object Table3Job {
   def main(args: Array[String]): Unit = {
-    val spark = SparkSession.builder()
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName("cocoon-table3")
-      .config("spark.sql.shuffle.partitions", "16")
-      .getOrCreate()
+    val spark = JobSession("cocoon-table3")
     val Seq(scores) = Harness.grid(spark, Seq(Harness.table3))
     scores.foreach(s => println("[table3] " + s.row))
     println()

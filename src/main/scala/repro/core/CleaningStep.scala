@@ -31,12 +31,9 @@ final case class MapToNull(values: Seq[String]) extends Rewrite
 final case class RangeClamp(lo: Option[Double], hi: Option[Double]) extends Rewrite
 
 /** One FD-violation repair: in rows where `lhsCol = lhsVal`, replace the bad
-  * rhs value with the resolved correct one (§2.1.6). `rows` is the number of
-  * rows with `(lhsVal, badRhs)` in the profile's joint counts; the SQL
-  * ignores it, and [[ProfileCarry]] uses it to move those rows in the
-  * column's profile.
+  * rhs value with the resolved correct one (§2.1.6).
   */
-final case class FdCase(lhsCol: String, lhsVal: String, badRhs: String, target: String, rows: Long)
+final case class FdCase(lhsCol: String, lhsVal: String, badRhs: String, target: String)
 
 /** FD repairs of one column, rendered as one nested map lookup per lhs
   * column: `COALESCE(element_at(element_at(map('l', map('bad', 'good', ...),
@@ -125,8 +122,10 @@ object CleaningStep {
       case DistinctRows(why) => (Some(why), "DISTINCT ", fromRelation)
       case KeepFirstPerKey(key, ord, rowKey, why) =>
         val by = (s"${quote(ord)} DESC NULLS LAST" +: rowKey.filterNot(_ == ord).map(quote).toSeq).mkString(", ")
-        val ranked = s"SELECT *, ROW_NUMBER() OVER (PARTITION BY ${quote(key)} ORDER BY $by) AS __rn FROM $fromRelation"
-        (Some(why), "", s"(\n  $ranked\n) WHERE __rn = 1")
+        // The row number's name, which no column of the table has.
+        val rn = Iterator.iterate("__rn")(_ + "_").find(n => !allColumns.exists(_.equalsIgnoreCase(n))).get
+        val ranked = s"SELECT *, ROW_NUMBER() OVER (PARTITION BY ${quote(key)} ORDER BY $by) AS $rn FROM $fromRelation"
+        (Some(why), "", s"(\n  $ranked\n) WHERE $rn = 1")
     }
     val comments = (step.rewrites.map(r => s"${r.column}: ${r.reasoning}") ++ rowReasoning)
       .map(SqlGen.comment)

@@ -59,7 +59,7 @@ object FunctionalDeps {
           llm.resolveFdGroup(fd.lhs, fd.rhs, lhsVal, rhsValues).toSeq.flatMap { target =>
             rhsValues
               .filter(_.value != target)
-              .map(rv => fd.rhs -> FdCase(fd.lhs, lhsVal, rv.value, target, rv.count))
+              .map(rv => fd.rhs -> FdCase(fd.lhs, lhsVal, rv.value, target))
           }
         }
       }

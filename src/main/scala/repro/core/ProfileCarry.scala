@@ -1,80 +1,90 @@
 package repro.core
 
+import scala.util.Try
+
 import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.catalyst.InternalRow
-import org.apache.spark.sql.catalyst.expressions.{Alias, AttributeSet, BindReferences, Expression, Literal}
+import org.apache.spark.sql.catalyst.expressions.{Alias, BindReferences, Expression, Literal}
 import org.apache.spark.sql.catalyst.plans.logical.Project
 import org.apache.spark.sql.types.StringType
 import org.apache.spark.unsafe.types.UTF8String
 import repro.profile.{ColumnProfile, TableProfile}
 
 /** The [[TableProfile]] of a table after a cleaning step, derived on the
-  * driver from the profile before it and the applied step's analysed plan:
-  * no query runs, and the rewritten table need not be profiled again.
+  * driver from the profile before it and the applied step's analysed plan,
+  * with no query.
   *
-  * Every rewrite Cocoon emits is a function of a cell's value (§2.1.1–§2.1.5)
-  * or a single-lhs FD repair (§2.1.6), so a column's full (value, count)
-  * table determines the rewritten column's profile:
-  *   - a value map is the column's expression in the top `Project` of the
-  *     plan [[CleaningStep.apply]] resolved, bound to the column and
-  *     evaluated by Catalyst over each value — the interpreted evaluation
-  *     Spark gives a projection over a local relation — so the carried
-  *     values follow Spark's semantics exactly;
-  *   - an FD repair moves the rows each arm counted from its bad value to
-  *     its target, exact when no row can match two arms.
+  * Each rewritten column's expression in the plan's top `Project` is bound
+  * to the columns it reads and evaluated by Catalyst, as Spark evaluates a
+  * projection over a local relation, over the rows of each combination of
+  * their values: for a value map (§2.1.1–§2.1.5), its column's (value, rows)
+  * table; for an FD repair (§2.1.6), which also reads its lhs column, the
+  * pair's contingency table, NULL sides included: the joint counts, each
+  * value's rows they leave out beside a NULL, and the rest NULL on both.
   *
-  * The profile's column pairs carry through a value map the same way: each
-  * side of a pair's joint counts is mapped by its column's value → value
-  * map, rows where a side became NULL drop out, and equal results merge. An
-  * FD repair drops its column's pairs, since no later stage reads them.
+  * Pairs carry through a value map's value → value map: rows where a side
+  * became NULL drop out, and equal results merge. A column rewritten from
+  * another column drops its pairs, which no later stage reads.
   *
-  * The carry is undefined (`None`), and the table must be profiled again,
-  * when the step has a row action, the analysed plan is not a `Project`
-  * computing the column (a value map from the column alone), the step
-  * rewrites a non-string column, or it is an FD repair with overlapping arms.
+  * Undefined (`None`), so the table is profiled again, when the step has a
+  * row action, the plan is not a `Project` computing the column from it, or
+  * the expression reads or gives a non-string column, reads two other
+  * columns, or reads one whose pair the profile did not count.
   */
 object ProfileCarry {
 
   def after(profile: TableProfile, step: CleaningStep, applied: DataFrame): Option[TableProfile] =
     applied.queryExecution.analyzed match {
-      case Project(items, child) if step.rows == KeepAllRows =>
+      case Project(items, _) if step.rows == KeepAllRows =>
         val exprs = items.collect { case a: Alias => a.name -> a.child }.toMap
+        // Each rewritten column's (value, rows) table after the step, nulls
+        // included, and its value → value map if it reads only itself.
         val carried = step.rewrites.map { r =>
           for {
-            expr   <- exprs.get(r.column)
-            in     <- child.output.find(_.name == r.column) if in.dataType == StringType
-            before <- profile.columns.get(r.column)
-            after <- r.rewrite match {
-              case FdRepair(cases) =>
-                Option.when(disjoint(cases))(
-                  Rewritten(before.counts.toSeq ++ cases.flatMap(k => Seq(k.badRhs -> -k.rows, k.target -> k.rows)), None))
-              case _ =>
-                Option.when(expr.references.subsetOf(AttributeSet(in))) {
-                  val bound  = BindReferences.bindReference(folded(expr), Seq(in))
-                  val values = before.counts.toSeq.map { case (v, n) => (v, Option(bound.eval(row(v))).map(_.toString).orNull, n) }
-                  Rewritten(values.map { case (_, to, n) => to -> n }, Some(values.map { case (v, to, _) => v -> to }.toMap))
-                }
+            expr <- exprs.get(r.column)
+            in   <- expr.references.find(_.name == r.column)
+            others = expr.references.toSeq.filterNot(_ == in)
+            if (expr +: others :+ in).forall(_.dataType == StringType)
+            cells <- table(profile, others.map(_.name) :+ r.column)
+          } yield {
+            val bound  = BindReferences.bindReference(folded(expr), others :+ in)
+            val values = cells.map { case (vs, n) =>
+              (vs, Option(bound.eval(InternalRow.fromSeq(vs.map(UTF8String.fromString)))).map(_.toString).orNull, n)
             }
-          } yield r.column -> after
+            r.column -> (values.map { case (_, to, n) => to -> n }, Option.when(others.isEmpty)(values.map { case (vs, to, _) => vs.head -> to }.toMap))
+          }
         }
         Option.when(carried.forall(_.isDefined)) {
           val rewritten = carried.flatten.toMap
-          val maps      = rewritten.collect { case (c, Rewritten(_, Some(m))) => c -> m }
-          // An FD repair's column leaves the pairs: no later stage reads them.
-          val repaired = rewritten.keySet -- maps.keySet
+          val maps      = rewritten.collect { case (c, (_, Some(m))) => c -> m }
+          // A column rewritten from another leaves the pairs: no later stage reads them.
+          val dropped = rewritten.keySet -- maps.keySet
           val pairs = profile.pairs.collect {
-            case ((l, r), joint) if !repaired(l) && !repaired(r) => (l, r) -> mapJoint(joint, maps.get(l), maps.get(r))
+            case ((l, r), joint) if !dropped(l) && !dropped(r) => (l, r) -> mapJoint(joint, maps.get(l), maps.get(r))
           }
-          profile.copy(columns = profile.columns ++ rewritten.map { case (c, a) => c -> ColumnProfile.ofStrings(a.counts) }, pairs = pairs)
+          profile.copy(columns = profile.columns ++ rewritten.map { case (c, (counts, _)) => c -> ColumnProfile.ofStrings(counts) }, pairs = pairs)
         }
       case _ => None
     }
 
-  /** A rewritten column's (value, count) table after a step, nulls
-    * included, and its map from each value before the step to the value
-    * after it, where the step is a value map.
+  /** The rows of each combination of the values of `cols`, NULL included:
+    * one column's (value, rows) table, or the contingency table of a counted
+    * pair. `None` for any other `cols`.
     */
-  private final case class Rewritten(counts: Seq[(String, Long)], values: Option[Map[String, String]])
+  private def table(profile: TableProfile, cols: Seq[String]): Option[Seq[(Seq[String], Long)]] = cols match {
+    case Seq(c) => Some(profile(c).counts.toSeq.map { case (v, n) => Seq(v) -> n })
+    case Seq(l, c) =>
+      Try(profile.joint(l, c)).toOption.map { joint =>
+        val paired = joint.toSeq.map { case ((a, b), n) => Seq(a, b) -> n }
+        val besideNull = Seq(l, c).zipWithIndex.flatMap { case (col, side) =>
+          val inJoint = paired.groupMapReduce(_._1(side))(_._2)(_ + _)
+          profile(col).counts.toSeq.collect { case (v, n) if v != null => Seq[String](null, null).updated(side, v) -> (n - inJoint.getOrElse(v, 0L)) }
+        }
+        val cells = paired ++ besideNull
+        cells :+ (Seq(null, null) -> (profile.rowCount - cells.map(_._2).sum))
+      }
+    case _ => None
+  }
 
   /** A pair's joint counts with each side mapped by its column's value map,
     * if it has one: rows where a side became NULL drop out, and pairs mapped
@@ -88,21 +98,10 @@ object ProfileCarry {
         .filter { case ((l, r), _) => l != null && r != null }
         .groupMapReduce(_._1)(_._2)(_ + _)
 
-  /** No row matches two arms: arms sharing a bad value share one lhs column
-    * and differ in its value.
-    */
-  private def disjoint(cases: Seq[FdCase]): Boolean =
-    cases.groupBy(_.badRhs).values.forall { arms =>
-      arms.map(_.lhsCol).distinct.size == 1 && arms.map(_.lhsVal).distinct.size == arms.size
-    }
-
   /** `e` with each foldable subtree evaluated once into a literal, as Spark's
     * constant folding does, so a value map's literal map is built once and
     * not once per value it is evaluated on.
     */
   private def folded(e: Expression): Expression =
     e.transformDown { case f if f.foldable => Literal.create(f.eval(), f.dataType) }
-
-  /** One string value as the row an expression bound to ordinal 0 reads. */
-  private def row(v: String): InternalRow = InternalRow(UTF8String.fromString(v))
 }

@@ -15,12 +15,13 @@ import repro.eval.Harness
   * The same runs pin the Spark jobs one pipeline run starts. Job count does
   * not depend on the hardware: a run profiles its input once, in one job
   * with no exchange that also counts the joint values of the FD pairs,
-  * carries the profile and the pairs through value maps on the driver,
-  * scores FDs from the profile with no query, reads the absence of
-  * duplicate rows off the profile and chains the steps into one plan, so it
-  * takes 1 job, where profiling each column in each stage took hundreds.
-  * Hospital takes 2: its FD arms overlap, so the table is profiled again,
-  * with no pairs, after the FD step. The first read of the cleaned table
+  * carries the profile on the driver by evaluating each rewritten column's
+  * expression over the counts of the columns it reads, scores FDs from the
+  * profile with no query, reads the absence of duplicate rows off the
+  * profile and chains the steps into one plan, so it takes 1 job, where
+  * profiling each column in each stage took hundreds. Hospital takes 2: its
+  * FD repairs read two lhs columns, `provider_id` and `zip`, so the table is
+  * profiled again, with no pairs, after the FD step. The first read of the cleaned table
   * runs that plan in 3 more, so the pin on the run and its read catches
   * work moved into the reader. A run's only SQL executions are those jobs and one temp-view
   * command per applied step: the profile is carried through each step's

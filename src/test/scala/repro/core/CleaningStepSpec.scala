@@ -26,7 +26,7 @@ class CleaningStepSpec extends SparkSpec {
   }
 
   test("renderExpr FdRepair guards on both lhs and rhs") {
-    val rw = FdRepair(Seq(FdCase("zip", "36000", "Boston", "Dothan", 1L), FdCase("zip", "36000", "Bostn", "Dothan", 1L)))
+    val rw = FdRepair(Seq(FdCase("zip", "36000", "Boston", "Dothan"), FdCase("zip", "36000", "Bostn", "Dothan")))
     assert(CleaningStep.renderExpr("city", rw, Dialect.Spark) ==
       "COALESCE(element_at(element_at(map('36000', map('Boston', 'Dothan', 'Bostn', 'Dothan')), `zip`), `city`), `city`)")
     assert(CleaningStep.renderExpr("city", rw, Dialect.DuckDb) ==
@@ -34,7 +34,7 @@ class CleaningStepSpec extends SparkSpec {
   }
 
   test("renderExpr FdRepair renders one nested lookup per lhs column, in arm order") {
-    val rw = FdRepair(Seq(FdCase("state", "AL", "Boston", "Mobile", 1L), FdCase("zip", "z1", "Boston", "Dothan", 1L)))
+    val rw = FdRepair(Seq(FdCase("state", "AL", "Boston", "Mobile"), FdCase("zip", "z1", "Boston", "Dothan")))
     assert(CleaningStep.renderExpr("city", rw, Dialect.Spark) ==
       "COALESCE(element_at(element_at(map('AL', map('Boston', 'Mobile')), `state`), `city`), " +
       "element_at(element_at(map('z1', map('Boston', 'Dothan')), `zip`), `city`), `city`)")
@@ -56,8 +56,8 @@ class CleaningStepSpec extends SparkSpec {
       (4L, "z'2", "NV", "Reno"), (5L, "z1", "NV", "Dothan"), (6L, null, null, null),
     ).toDF("row_id", "zip", "state", "city")
     val arms = Seq(
-      FdCase("state", "AL", "Boston", "Mobile", 1L), FdCase("state", "AL", "O'Hare", "Mobile", 1L),
-      FdCase("zip", "z'2", "Reno", "Coeur d'Alene", 1L), FdCase("zip", "z1", "Boston", "Dothan", 1L),
+      FdCase("state", "AL", "Boston", "Mobile"), FdCase("state", "AL", "O'Hare", "Mobile"),
+      FdCase("zip", "z'2", "Reno", "Coeur d'Alene"), FdCase("zip", "z1", "Boston", "Dothan"),
     )
     val out = assertPortable(fdf, CleaningStep("fd", Seq(ColumnRewrite("city", FdRepair(arms), "r"))))
     val cities = out.select("row_id", "city").as[(Long, String)].collect().toMap
@@ -119,7 +119,7 @@ class CleaningStepSpec extends SparkSpec {
 
   test("generated SQL is portable: FdRepair step") {
     val fdf = Seq((1L, "z1", "Boston"), (2L, "z1", "Dothan"), (3L, "z2", "Reno")).toDF("row_id", "zip", "city")
-    val step = CleaningStep("fd", Seq(ColumnRewrite("city", FdRepair(Seq(FdCase("zip", "z1", "Boston", "Dothan", 1L))), "r")))
+    val step = CleaningStep("fd", Seq(ColumnRewrite("city", FdRepair(Seq(FdCase("zip", "z1", "Boston", "Dothan"))), "r")))
     assert(assertPortable(fdf, step).filter("city = 'Boston'").count() == 0)
   }
 
@@ -142,12 +142,13 @@ class CleaningStepSpec extends SparkSpec {
   test("generated SQL is portable: keep-first-per-key step, ties broken by the row key") {
     // Key k1's two latest rows tie on `t`; only the row key picks row 2. Key
     // k4's rows tie too, and only the numeric order of row keys 9 and 10
-    // picks row 9. A NULL `t` sorts last.
+    // picks row 9. A NULL `t` sorts last. A column is named `__rn`, the
+    // name the row number takes when no column has it.
     val keyed = Seq(
       (3L, "k1", "2020-02", "tied-high"), (2L, "k1", "2020-02", "tied-low"), (1L, "k1", "2020-01", "older"),
       (4L, "k2", null, "undated"), (5L, "k2", "2019-12", "dated"), (6L, "k3", "2020-03", "alone"),
       (10L, "k4", "2020-04", "tied-ten"), (9L, "k4", "2020-04", "tied-nine"),
-    ).toDF("row_id", "k", "t", "payload")
+    ).toDF("row_id", "k", "t", "payload").selectExpr("*", "row_id % 3 AS __rn")
     val step = CleaningStep("uniqueness", Seq.empty, KeepFirstPerKey("k", "t", Some("row_id"), "r"))
     val out = assertPortable(keyed, step)
     assert(out.select("payload").as[String].collect().sorted.toSeq == Seq("alone", "dated", "tied-low", "tied-nine"))
@@ -167,7 +168,7 @@ class CleaningStepSpec extends SparkSpec {
       ColumnRewrite(zip, MapValues(Seq("z2" -> "z'2")), "pattern"),
     ))
     val fd = CleaningStep("fd", Seq(ColumnRewrite(city, FdRepair(Seq(
-      FdCase(zip, "z1", "Bostn", "Boston", 1L), FdCase(zip, "z'2", "Reno", "Coeur d'Alene", 1L),
+      FdCase(zip, "z1", "Bostn", "Boston"), FdCase(zip, "z'2", "Reno", "Coeur d'Alene"),
     )), "fd")))
     val out = assertPortable(assertPortable(in, step), fd)
     val cities = out.select($"row_id", out(s"`${city.replace("`", "``")}`")).as[(Long, String)].collect().toMap
@@ -193,7 +194,7 @@ class CleaningStepSpec extends SparkSpec {
     def mapped(arms: Int) =
       CleaningStep("s", Seq(ColumnRewrite("c", MapValues((0 until arms).map(i => s"$i" -> s"v$i")), "r")))
     def repaired(arms: Int) =
-      CleaningStep("fd", Seq(ColumnRewrite("c", FdRepair((0 until arms).map(i => FdCase("lhs", s"${i % 7}", s"$i", s"v$i", 1L))), "r")))
+      CleaningStep("fd", Seq(ColumnRewrite("c", FdRepair((0 until arms).map(i => FdCase("lhs", s"${i % 7}", s"$i", s"v$i"))), "r")))
     for ((kind, step) <- Seq("value map" -> mapped _, "FD repair" -> repaired _)) {
       val (small, large) = (maxMethodCodeSize(in, step(10)), maxMethodCodeSize(in, step(1000)))
       info(s"$kind: largest method $small bytes at 10 arms, $large at 1,000")

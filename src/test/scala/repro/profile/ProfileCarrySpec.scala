@@ -48,21 +48,24 @@ class ProfileCarrySpec extends SparkSpec {
 
   private val table: Gen[Seq[Row]] = for {
     n    <- Gen.chooseNum(0, 30)
-    // A few values per column, so counts tie often.
-    pools <- Gen.listOfN(3, Gen.pick(4, pool))
+    // A few values per column, so counts tie often, and NULL among them in
+    // half the columns: `Gen.pick` at this seed never picks the pool's NULL.
+    pools <- Gen.listOfN(3, Gen.pick(4, pool.filter(_ != null)).flatMap(p => Gen.oneOf(p, p :+ null)))
     rows <- Gen.listOfN(n, Gen.zip(Gen.oneOf(pools(0)), Gen.oneOf(pools(1)), Gen.oneOf(pools(2)), Gen.oneOf[Integer](null, 0, 7)))
   } yield rows.zipWithIndex.map { case ((a, b, c, q), k) => Row(k.toLong, a, b, c, null, q) }
 
-  /** A single-lhs FD repair of `rhs` over `rows`, each arm carrying the
-    * number of rows it moves.
+  /** A single-lhs FD repair of `rhs` over `rows`, its lhs a column whose
+    * pair with `rhs` the profiles count, in either order. Its arms are some of
+    * the pair's (lhs, rhs) values with neither side NULL; the table's other
+    * rows, a side NULL or not, keep their `rhs`.
     */
   private def fdRepair(rows: Seq[Row], rhs: String): Gen[Rewrite] = for {
-    lhs     <- Gen.oneOf(strings.filterNot(_ == rhs))
+    lhs     <- Gen.oneOf(pairs.collect { case (l, `rhs`) => l; case (`rhs`, r) => r })
     li = schema.fieldIndex(lhs); ri = schema.fieldIndex(rhs)
-    counts = rows.filter(r => !r.isNullAt(li) && !r.isNullAt(ri)).groupBy(r => (r.getString(li), r.getString(ri))).view.mapValues(_.size.toLong).toSeq.sortBy(_._1)
-    arms    <- Gen.someOf(counts)
+    joint = rows.filter(r => !r.isNullAt(li) && !r.isNullAt(ri)).map(r => (r.getString(li), r.getString(ri))).distinct.sorted
+    arms    <- Gen.someOf(joint)
     targets <- Gen.listOfN(arms.size, nonNull)
-  } yield FdRepair(arms.toSeq.zip(targets).map { case (((l, bad), n), t) => FdCase(lhs, l, bad, t, n) })
+  } yield FdRepair(arms.toSeq.zip(targets).map { case ((l, bad), t) => FdCase(lhs, l, bad, t) })
 
   private def rewrite(rows: Seq[Row], col: String): Gen[Rewrite] = {
     val clamp = Gen.zip(bound, bound).map { case (lo, hi) => RangeClamp(lo, hi) }
@@ -99,7 +102,7 @@ class ProfileCarrySpec extends SparkSpec {
     assert(jobs == 0, s"carrying ${step.issue} started $jobs Spark jobs")
     assert(executions == 0, s"carrying ${step.issue} started $executions SQL executions")
     carried.foreach { c =>
-      val repaired = step.rewrites.collect { case ColumnRewrite(col, _: FdRepair, _) => col }.toSet
+      val repaired = step.rewrites.collect { case ColumnRewrite(col, FdRepair(cases), _) if cases.nonEmpty => col }.toSet
       assert(c.pairs.keySet == before.pairs.keySet.filterNot { case (l, r) => repaired(l) || repaired(r) }, s"pairs after $step")
       val rebuilt = TableProfile.of(applied, c.pairs.keys.toSeq)
       assert(canon(c) == canon(rebuilt), s"carried ≠ rebuilt after $step")
@@ -113,21 +116,30 @@ class ProfileCarrySpec extends SparkSpec {
     // Carried samples where a pair's row lost a side to NULL, and where two
     // of a pair's value combinations merged into one.
     var nulled, merged = 0
-    Seeded.forAll(gen, n = 80) { case (rows, s) =>
+    // Carried samples with an FD repair whose pair was counted in the other
+    // column order, and with one over a table where a row has a NULL side.
+    var reversed, nullSide = 0
+    Seeded.forAll(gen, n = 150) { case (rows, s) =>
       val df = spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), schema)
       val before = TableProfile.of(df, pairs)
       val result = carryChecked(df, before, s)
       assert(result.isDefined == s.rewrites.forall(_.column != "qty"), s"carry defined = ${result.isDefined} for $s")
       result.foreach { after =>
         carried += 1
+        val repairs = s.rewrites.collect { case ColumnRewrite(rhs, FdRepair(cases), _) if cases.nonEmpty => (cases.head.lhsCol, rhs) }
+        if (repairs.exists(p => !pairs.contains(p))) reversed += 1
+        if (repairs.exists { case (l, r) => rows.exists(row => row.isNullAt(schema.fieldIndex(l)) || row.isNullAt(schema.fieldIndex(r))) })
+          nullSide += 1
         val kept = after.pairs.keys.toSeq
         if (kept.exists(p => after.pairs(p).values.sum < before.pairs(p).values.sum)) nulled += 1
         if (kept.exists(p => after.pairs(p).size < before.pairs(p).size && after.pairs(p).values.sum == before.pairs(p).values.sum))
           merged += 1
       }
     }
-    assert(carried >= 30, s"only $carried of 80 samples carried")
+    info(s"$carried carried, $nulled nulled, $merged merged, $reversed reversed, $nullSide NULL side")
+    assert(carried >= 30, s"only $carried of 150 samples carried")
     assert(nulled >= 5 && merged >= 5, s"only $nulled samples lost pair rows to NULL and $merged merged them")
+    assert(reversed >= 5 && nullSide >= 5, s"only $reversed samples repaired from a reversed pair and $nullSide over a NULL side")
   }
 
   test("pair counts carry through a value map, a DMV null and a boolean cast") {
@@ -153,7 +165,7 @@ class ProfileCarrySpec extends SparkSpec {
     assert(nulled.joint("open", "city") == Map(("True", "Boston") -> 3L, ("False", "Reno") -> 2L))
     assert(nulled.joint("state", "open") == carried.joint("state", "open"))
     // An FD repair drops its column's pairs and keeps the others.
-    val fd = CleaningStep("fd", Seq(ColumnRewrite("state", FdRepair(Seq(FdCase("city", "Reno", "NV", "CA", 1L))), "fd")))
+    val fd = CleaningStep("fd", Seq(ColumnRewrite("state", FdRepair(Seq(FdCase("city", "Reno", "NV", "CA"))), "fd")))
     val repaired = carryChecked(CleaningStep.apply(spark, applied, dmv), nulled, fd).get
     assert(repaired.pairs.keySet == Set("open" -> "city"))
   }
@@ -175,9 +187,10 @@ class ProfileCarrySpec extends SparkSpec {
     assert(ProfileCarry.after(p, reno, CleaningStep.apply(spark, df, reno).filter("row_id > 0")).isEmpty, "not a Project")
     assert(ProfileCarry.after(p, reno, df.selectExpr("row_id", "zip", "phone", "upper(zip) AS city")).isEmpty, "not from the column")
     assert(ProfileCarry.after(p, reno, df).isEmpty, "the input's own plan")
-    // Both arms match row 1: its zip is z1 and its phone is x1.
-    assert(carry("city" -> FdRepair(Seq(FdCase("zip", "z1", "Boston", "Dothan", 1L), FdCase("phone", "x1", "Boston", "Reno", 1L)))).isEmpty)
-    assert(carry("city" -> FdRepair(Seq(FdCase("zip", "z1", "Boston", "Dothan", 1L)))).isDefined)
+    // A repair from two lhs columns, and one from a pair the profile did not count.
+    assert(carry("city" -> FdRepair(Seq(FdCase("zip", "z1", "Boston", "Dothan"), FdCase("phone", "x1", "Boston", "Reno")))).isEmpty)
+    assert(carry("city" -> FdRepair(Seq(FdCase("phone", "x1", "Boston", "Reno")))).isEmpty, "uncounted pair")
+    assert(carry("city" -> FdRepair(Seq(FdCase("zip", "z1", "Boston", "Dothan")))).isDefined)
     assert(carry("city" -> MapValues(Seq("Reno" -> "Dothan"))).isDefined)
   }
 
