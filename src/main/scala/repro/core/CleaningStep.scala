@@ -1,9 +1,11 @@
 package repro.core
 
-import java.util.concurrent.atomic.AtomicLong
+import scala.collection.immutable.VectorMap
 
-import org.apache.spark.sql.{classic, DataFrame, SparkSession}
-import org.apache.spark.sql.types.StringType
+import org.apache.spark.sql.{functions => F, Column, DataFrame}
+import org.apache.spark.sql.catalyst.expressions.Literal
+import org.apache.spark.sql.expressions.Window
+import org.apache.spark.sql.types.{DataType, DoubleType, MapType, StringType}
 import repro.util.SqlGen
 import repro.util.SqlGen.Dialect
 
@@ -106,6 +108,10 @@ object CleaningStep {
   private def inOrder[A, K](xs: Seq[A])(key: A => K): Seq[(K, Seq[A])] =
     xs.map(key).distinct.map(k => k -> xs.filter(key(_) == k))
 
+  /** The row number's name, which no column of the table has. */
+  private def rowNumberName(columns: Seq[String]): String =
+    Iterator.iterate("__rn")(_ + "_").find(n => !columns.exists(_.equalsIgnoreCase(n))).get
+
   /** Full SELECT for one step over `fromRelation`, with reasoning comments.
     * `KeepFirstPerKey` picks its rows before the rewrites, `DISTINCT` after.
     */
@@ -122,8 +128,7 @@ object CleaningStep {
       case DistinctRows(why) => (Some(why), "DISTINCT ", fromRelation)
       case KeepFirstPerKey(key, ord, rowKey, why) =>
         val by = (s"${quote(ord)} DESC NULLS LAST" +: rowKey.filterNot(_ == ord).map(quote).toSeq).mkString(", ")
-        // The row number's name, which no column of the table has.
-        val rn = Iterator.iterate("__rn")(_ + "_").find(n => !allColumns.exists(_.equalsIgnoreCase(n))).get
+        val rn = rowNumberName(allColumns)
         val ranked = s"SELECT *, ROW_NUMBER() OVER (PARTITION BY ${quote(key)} ORDER BY $by) AS $rn FROM $fromRelation"
         (Some(why), "", s"(\n  $ranked\n) WHERE $rn = 1")
     }
@@ -156,26 +161,50 @@ object CleaningStep {
       s"${ctes.mkString("WITH ", ",\n", "")}\nSELECT * FROM ${names.last}"
     }
 
-  /** Apply one step by executing its generated SQL through Catalyst — the
-    * reproduction runs the very SQL text Cocoon emits, not a parallel
-    * DataFrame re-implementation of it.
+  /** Apply one step: the plan of [[renderSelect]]'s SELECT, built through
+    * the DataFrame API from the same rewrites and row action, with no SQL
+    * text to parse and no view to register. Each literal map is one Catalyst
+    * constant, the form constant folding gives the script's `map(…)`, so
+    * the analyser has no child per entry to resolve. The script is rendered
+    * from the same steps, and wherever a test runs Cocoon it checks the
+    * script against the result on Spark and on DuckDB.
     */
-  def apply(spark: SparkSession, df: DataFrame, step: CleaningStep): DataFrame =
+  def apply(df: DataFrame, step: CleaningStep): DataFrame =
     if (step.isNoop) df
-    else sqlOver(spark, df)(view => renderSelect(step, df.columns.toSeq, view, Dialect.Spark))
+    else {
+      val columns = df.columns.toSeq
+      val byCol   = step.rewrites.map(r => r.column -> r.rewrite).toMap
+      val from = step.rows match {
+        case KeepFirstPerKey(key, ord, rowKey, _) =>
+          val rn = rowNumberName(columns)
+          val by = col(ord).desc_nulls_last +: rowKey.filterNot(_ == ord).map(col(_).asc).toSeq
+          df.withColumn(rn, F.row_number().over(Window.partitionBy(col(key)).orderBy(by: _*))).filter(col(rn) === 1)
+        case _ => df
+      }
+      val selected = from.select(columns.map(c => byCol.get(c).fold(col(c))(rw => column(c, rw).as(c))): _*)
+      if (step.rows.isInstanceOf[DistinctRows]) selected.distinct() else selected
+    }
 
-  private val viewCounter = new AtomicLong
+  /** A column of the input by its name, quoted as the script quotes it. */
+  private def col(name: String): Column = F.col(SqlGen.ident(name))
 
-  /** Run the SQL that `sql` renders over `df`, registered as a fresh temp
-    * view that is dropped once `spark.sql` has resolved it into the plan.
-    * The drop goes through the session catalog directly:
-    * `Catalog.dropTempView` would also uncache the view's data, which here is
-    * the caller's (possibly cached) DataFrame.
-    */
-  private[core] def sqlOver(spark: SparkSession, df: DataFrame)(sql: String => String): DataFrame = {
-    val view = s"cocoon_stage_${viewCounter.incrementAndGet()}"
-    df.createOrReplaceTempView(view)
-    try spark.sql(sql(view))
-    finally spark.asInstanceOf[classic.SparkSession].sessionState.catalog.dropTempView(view)
+  /** The column [[renderExpr]] renders for `rw`, built from the same parts. */
+  private def column(c: String, rw: Rewrite): Column = rw match {
+    case MapValues(m) if m.nonEmpty => F.coalesce(F.element_at(literalMap(m, StringType), col(c)), col(c))
+    case MapToNull(vs) if vs.nonEmpty => F.when(col(c).isin(vs: _*), F.lit(null)).otherwise(col(c))
+    case RangeClamp(lo, hi) if lo.nonEmpty || hi.nonEmpty =>
+      val v = col(c).try_cast(DoubleType)
+      F.when((lo.map(v < _) ++ hi.map(v > _)).reduce(_ || _), F.lit(null)).otherwise(col(c))
+    case FdRepair(cases) if cases.nonEmpty =>
+      val groups = inOrder(cases)(_.lhsCol).map { case (lhs, byLhs) =>
+        val byVal = inOrder(byLhs)(_.lhsVal).map { case (v, arms) => v -> VectorMap.from(arms.map(a => a.badRhs -> a.target)) }
+        F.element_at(F.element_at(literalMap(byVal, MapType(StringType, StringType, valueContainsNull = false)), col(lhs)), col(c))
+      }
+      F.coalesce(groups :+ col(c): _*)
+    case _ => col(c)
   }
+
+  /** `entries` as one literal map from strings to `valueType`, in their order. */
+  private def literalMap(entries: Seq[(String, Any)], valueType: DataType): Column =
+    F.lit(Literal.create(VectorMap.from(entries), MapType(StringType, valueType, valueContainsNull = false)))
 }

@@ -12,13 +12,15 @@ import repro.util.SqlGen.Dialect
 final case class CocoonConfig(keyCol: String = "row_id", tableDesc: String = "table")
 
 /** The result of a Cocoon run: the cleaned DataFrame and the per-issue
-  * steps that fired. `script` is the full commented SQL
-  * script (Figure 5 analogue), a CTE chain equivalent to what was executed;
-  * [[CleaningStep.renderScript]] renders the same steps in another dialect.
+  * steps that fired. `script` is the full commented SQL script (Figure 5
+  * analogue), a CTE chain rendered from the same steps that `cleaned` was
+  * built from; [[CleaningStep.renderScript]] renders them in another
+  * dialect. Wherever a test runs Cocoon, it checks that the script gives the
+  * rows of `cleaned` on Spark and on DuckDB.
   *
-  * `cleaned` is a lazy plan, the steps' SELECTs over the input, and a run
-  * persists nothing: every read of it runs the whole chain again, so cache
-  * it to read it twice.
+  * `cleaned` is a lazy plan, each step's plan over the one before with
+  * literal maps as constants, and a run persists nothing: every read of it
+  * runs the whole chain again, so cache it to read it twice.
   */
 final case class CocoonResult(cleaned: DataFrame, steps: Seq[CleaningStep]) {
 
@@ -42,13 +44,14 @@ final case class CocoonResult(cleaned: DataFrame, steps: Seq[CleaningStep]) {
   * first, and the profile also counts the joint values of every pair it
   * accepts, from which the FD stage scores with no query. A run profiles its
   * input once; each stage then decides, applies its step and carries the
-  * profile, pairs included, on the driver through the plan the step's SQL
-  * resolved to, with no query ([[ProfileCarry]]). The table is profiled
+  * profile, pairs included, on the driver through the plan the step was
+  * applied as, with no query ([[ProfileCarry]]). The table is profiled
   * again only where the carry cannot be exact and a later stage reads the
   * profile, and counts the pairs again only while the FD stage is ahead.
   * The applied steps are chained as one plan over the input, as the script
   * chains its CTEs; only the profile builds and the duplicate-row count
-  * start Spark jobs.
+  * start Spark jobs, and no SQL text is parsed. `spark` is not read: the
+  * plan is built on `input`'s session.
   */
 object CocoonPipeline {
 
@@ -90,7 +93,7 @@ object CocoonPipeline {
       profile = Some(p)
       val step = stage(df, p)
       if (!step.isNoop) {
-        df = CleaningStep.apply(spark, df, step)
+        df = CleaningStep.apply(df, step)
         profile = ProfileCarry.after(p, step, df)
         steps :+= step
       }

@@ -6,7 +6,7 @@ package repro.util
   * §2.2, Figure 5). Every cleaning module builds map-lookup / `CASE WHEN` /
   * `TRY_CAST` expressions as strings; this object centralises quoting so
   * generated SQL is injection-safe, and [[SqlGen.Dialect]] holds what Spark
-  * SQL (the executor) and DuckDB (the correctness oracle) spell differently.
+  * SQL and DuckDB (the correctness oracle) spell differently.
   */
 object SqlGen {
 

@@ -10,10 +10,12 @@ import repro.llm.SimulatedLLM
   * cleaned table on Spark and on DuckDB (§2.2).
   *
   * A table is empty, holds only its key, or has the key, a `zip` → `city`
-  * FD, an INT `age` and an all-NULL `notes`. A few rows get another zip's
-  * city (the FD stage repairs them), a rare typo of their city (string
-  * outliers map it to the frequent value), a NULL zip or city, or an age
-  * out of range; a few are exact copies of others, the key included.
+  * FD, an INT `age`, an all-NULL `notes` and a `visited` date. A few rows
+  * get another zip's city (the FD stage repairs them), a rare typo of their
+  * city (string outliers map it to the frequent value), a NULL zip or city,
+  * or an age out of range; a few are exact copies of others, the key
+  * included. Dates are mostly ISO and sometimes m/d/yyyy, so pattern
+  * outliers rewrite the minority format to the dominant one.
   */
 class RandomTablesSpec extends SparkSpec {
 
@@ -23,6 +25,7 @@ class RandomTablesSpec extends SparkSpec {
     StructField("city", StringType),
     StructField("age", IntegerType),
     StructField("notes", StringType),
+    StructField("visited", StringType),
   ))
   private val keyOnly = StructType(full.take(1))
 
@@ -41,14 +44,20 @@ class RandomTablesSpec extends SparkSpec {
   }
   private val age: Gen[Integer] = Gen.frequency(12 -> Gen.chooseNum(18, 80).map(Integer.valueOf), 1 -> Gen.const(null), 1 -> Gen.const(999))
 
+  private val visited: Gen[String] = for {
+    m   <- Gen.chooseNum(1, 12)
+    d   <- Gen.chooseNum(1, 28)
+    iso <- Gen.frequency(6 -> true, 1 -> false)
+  } yield if (iso) f"2020-$m%02d-$d%02d" else s"$m/$d/2020"
+
   private val table: Gen[(StructType, Seq[Row])] = for {
     n      <- Gen.frequency(1 -> Gen.const(0), 6 -> Gen.chooseNum(8, 40))
     schema <- Gen.frequency(1 -> Gen.const(keyOnly), 5 -> Gen.const(full))
-    cells  <- Gen.listOfN(n, Gen.zip(place, age))
+    cells  <- Gen.listOfN(n, Gen.zip(place, age, Gen.frequency(12 -> visited, 1 -> Gen.const(null))))
     copies <- Gen.chooseNum(0, 2)
   } yield {
-    val rows = cells.zipWithIndex.map { case (((zip, city), a), k) =>
-      if (schema == keyOnly) Row(k.toLong) else Row(k.toLong, zip, city, a, null)
+    val rows = cells.zipWithIndex.map { case (((zip, city), a, day), k) =>
+      if (schema == keyOnly) Row(k.toLong) else Row(k.toLong, zip, city, a, null, day)
     }
     (schema, rows ++ rows.take(copies))
   }
@@ -68,7 +77,7 @@ class RandomTablesSpec extends SparkSpec {
       } finally cleaned.unpersist()
     }
     info(s"samples of each shape, and that each stage fired in: ${fired.toSeq.sorted.mkString(", ")}")
-    for (k <- Seq("(empty table)", "(key-only table)", "string-outliers", "numeric-outliers", "functional-deps", "duplication"))
+    for (k <- Seq("(empty table)", "(key-only table)", "string-outliers", "pattern-outliers", "numeric-outliers", "functional-deps", "duplication"))
       assert(fired(k) >= 2, s"only ${fired(k)} samples with $k")
   }
 }

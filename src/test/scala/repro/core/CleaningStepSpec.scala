@@ -12,11 +12,20 @@ class CleaningStepSpec extends SparkSpec {
     (1L, "eng", "N/A", "34"), (2L, "English", "12", "210"), (3L, "fre", "15", "-3"), (4L, "French", "99", "57"),
   ).toDF("row_id", "lang", "score", "age")
 
-  /** `step`'s SQL on Spark and on DuckDB agree over `in`. */
+  /** Over `in`, the applied step, its SELECT on Spark and its SELECT in
+    * DuckDB's dialect on the oracle give the same rows.
+    */
   private def assertPortable(in: DataFrame, step: CleaningStep) = {
-    val sparkOut = CleaningStep.apply(spark, in, step)
-    Oracle.assertEquivalent(sparkOut, CleaningStep.renderSelect(step, in.columns.toSeq, "input", Dialect.DuckDb), "input" -> in)
-    sparkOut
+    val applied = CleaningStep.apply(in, step)
+    in.createOrReplaceTempView("input")
+    try {
+      val rendered = spark.sql(CleaningStep.renderSelect(step, in.columns.toSeq, "input", Dialect.Spark))
+      assert(rendered.columns.toSeq == applied.columns.toSeq)
+      assert(applied.exceptAll(rendered).isEmpty, s"${step.issue}: rows applied but not in the rendered SELECT's output")
+      assert(rendered.exceptAll(applied).isEmpty, s"${step.issue}: rows of the rendered SELECT's output not applied")
+    } finally spark.catalog.dropTempView("input")
+    Oracle.assertEquivalent(applied, CleaningStep.renderSelect(step, in.columns.toSeq, "input", Dialect.DuckDb), "input" -> in)
+    applied
   }
 
   test("renderExpr MapValues produces a map lookup in each dialect") {
@@ -76,20 +85,20 @@ class CleaningStepSpec extends SparkSpec {
 
   test("apply executes the generated SQL and rewrites values") {
     val step = CleaningStep("s", Seq(ColumnRewrite("lang", MapValues(Seq("English" -> "eng", "French" -> "fre")), "r")))
-    val out = CleaningStep.apply(spark, df, step)
+    val out = CleaningStep.apply(df, step)
     val langs = out.select("lang").as[String].collect().toSet
     assert(langs == Set("eng", "fre"))
   }
 
   test("apply MapToNull nulls DMV tokens") {
     val step = CleaningStep("dmv", Seq(ColumnRewrite("score", MapToNull(Seq("N/A")), "r")))
-    val out = CleaningStep.apply(spark, df, step)
+    val out = CleaningStep.apply(df, step)
     assert(out.filter("score IS NULL").count() == 1)
   }
 
   test("apply RangeClamp nulls out-of-range values") {
     val step = CleaningStep("num", Seq(ColumnRewrite("score", RangeClamp(None, Some(50)), "r")))
-    val out = CleaningStep.apply(spark, df, step)
+    val out = CleaningStep.apply(df, step)
     // "99" clamped to NULL; "N/A" is not numeric, TRY_CAST yields NULL which
     // fails the predicate, so the token survives for the DMV stage.
     assert(out.filter("score IS NULL").count() == 1)
@@ -97,13 +106,13 @@ class CleaningStepSpec extends SparkSpec {
   }
 
   test("apply on a noop step returns the input unchanged") {
-    val out = CleaningStep.apply(spark, df, CleaningStep("noop", Seq.empty))
+    val out = CleaningStep.apply(df, CleaningStep("noop", Seq.empty))
     assert(out eq df)
   }
 
   test("DistinctRows dedupes rows") {
     val dup = Seq(("a", "1"), ("a", "1"), ("b", "2")).toDF("x", "y")
-    val out = CleaningStep.apply(spark, dup, CleaningStep("dup", Seq.empty, DistinctRows("r")))
+    val out = CleaningStep.apply(dup, CleaningStep("dup", Seq.empty, DistinctRows("r")))
     assert(out.count() == 2)
   }
 
@@ -178,10 +187,50 @@ class CleaningStepSpec extends SparkSpec {
     ))
   }
 
+  test("every rewrite and row action gives the same rows applied, rendered for Spark and rendered for DuckDB") {
+    // Column names hold a backtick, a dot and a space, and one is `__rn`,
+    // the row number's first choice of name. Values hold a quote, the empty
+    // string, `%` and a character outside the Basic Multilingual Plane.
+    val (city, zip, state, smile) = ("ci`ty", "zip.code", "st ate", "\uD83D\uDE00")
+    // Row 7 is there twice.
+    val in = Seq[(Long, String, String, String, String)](
+      (1L, "Bostn", "z1", "AL", "3"), (2L, "'", "z1", "", "12"), (3L, "", "z.2", "%", "-1"), (4L, smile, "z.2", "AL", smile),
+      (5L, "Reno", "", "'", ""), (6L, null, "z1", null, "'"), (7L, "Bostn", "z1", "AL", "3"), (7L, "Bostn", "z1", "AL", "3"),
+      (8L, "Boston", null, "AL", null),
+    ).toDF("row_id", city, zip, state, "__rn")
+    val rewrites = Seq(
+      ColumnRewrite(zip, MapValues(Seq("z.2" -> "z'2", "" -> smile, "z1" -> "%")), "map"),
+      ColumnRewrite(state, MapToNull(Seq("", "%", "'")), "dmv"),
+      ColumnRewrite("__rn", RangeClamp(Some(0), Some(10)), "range"),
+      ColumnRewrite(city, FdRepair(Seq(
+        FdCase(state, "AL", "Bostn", "Boston"), FdCase(state, "AL", smile, "'"),
+        FdCase(zip, "z1", "'", ""), FdCase(zip, "z.2", "", smile), FdCase(zip, "z1", "Bostn", "Bostonia"),
+      )), "fd"),
+    )
+    val steps = Seq(
+      CleaningStep("rewrites", rewrites),
+      CleaningStep("distinct", Seq.empty, DistinctRows("r")),
+      CleaningStep("rewrites-distinct", rewrites, DistinctRows("r")),
+      CleaningStep("keep-first", rewrites.take(1), KeepFirstPerKey(city, zip, Some("row_id"), "r")),
+      CleaningStep("keep-first-nulls-last", Seq.empty, KeepFirstPerKey(state, zip, Some("row_id"), "r")),
+      CleaningStep("keep-first-by-key", Seq.empty, KeepFirstPerKey(state, "row_id", Some("row_id"), "r")),
+    )
+    for (step <- steps) assertPortable(in, step)
+    val fixed = CleaningStep.apply(in, steps.head).as[(Long, String, String, String, String)]
+    // The FD repair reads the input's lhs values, `state` before `zip`: rows
+    // 1 and 7 match a `Bostn` arm of each and take the `state` arm's target.
+    // A value the clamp cannot read as a number stays.
+    assert(fixed.collect().sortBy(_._1).toSeq == Seq(
+      (1L, "Boston", "%", "AL", "3"), (2L, "", "%", null, null), (3L, smile, "z'2", null, null), (4L, "'", "z'2", "AL", smile),
+      (5L, "Reno", smile, null, ""), (6L, null, "%", null, "'"), (7L, "Boston", "%", "AL", "3"), (7L, "Boston", "%", "AL", "3"),
+      (8L, "Boston", null, "AL", null),
+    ))
+  }
+
   /** The largest method whole-stage codegen generates for `step` over `in`. */
   private def maxMethodCodeSize(in: DataFrame, step: CleaningStep): Int = {
     val (stats, fallbacks) = CodegenFallbacks.counting {
-      val out = CleaningStep.apply(spark, in, step)
+      val out = CleaningStep.apply(in, step)
       out.collect()
       codegenStringSeq(out.queryExecution.executedPlan).map(_._3)
     }

@@ -113,15 +113,23 @@ class CocoonPipelineSpec extends SparkSpec {
     assert(Sha256(res.script) == "2195da5a205282f1120123e554438c6de0fd80c8731a066bc3b80c676ac40bd9", res.script)
   }
 
-  test("no cocoon_ temp view remains after a run") {
-    // Runs that apply column rewrites and a uniqueness dedupe.
-    val rows = (0 until 19).map(i => (i.toLong, s"k$i", s"2020-01-${10 + i}")) :+
-      ((19L, "k0", "2021-06-01"))
-    val keyed = rows.toDF("row_id", "customer_id", "updated_at")
-    assert(CocoonPipeline.run(spark, keyed, llm).script.contains("uniqueness"))
-    assert(CocoonPipeline.run(spark, datesDf, llm).steps.nonEmpty)
-    val views = spark.catalog.listTables().collect().filter(_.isTemporary).map(_.name)
-    assert(!views.exists(_.startsWith("cocoon_")), views.mkString(", "))
+  test("a run leaves the session's temp views as it found them") {
+    // A view of the caller's, which a run must neither replace nor drop.
+    val mine = Seq((1L, "mine")).toDF("row_id", "v")
+    mine.createOrReplaceTempView("cocoon_stage_1")
+    def views = spark.catalog.listTables().collect().filter(_.isTemporary).map(_.name).toSeq.sorted
+    try {
+      val before = views
+      // Runs that rewrite values, drop duplicate rows and keep the first row per key.
+      val keyed = ((0 until 19).map(i => (i.toLong, s"k$i", s"2020-01-${10 + i}")) :+ ((19L, "k0", "2021-06-01")))
+        .toDF("row_id", "customer_id", "updated_at")
+      val copies = (Seq.fill(3)(("a", "1")) ++ Seq(("b", "2"))).toDF("x", "y")
+      assert(CocoonPipeline.run(spark, datesDf, llm).steps.nonEmpty)
+      assert(CocoonPipeline.run(spark, copies, llm, CocoonConfig(keyCol = "none")).steps.exists(_.issue == "duplication"))
+      assert(CocoonPipeline.run(spark, keyed, llm).steps.exists(_.issue == "uniqueness"))
+      assert(views == before)
+      assert(spark.table("cocoon_stage_1").collect().toSeq == mine.collect().toSeq)
+    } finally spark.catalog.dropTempView("cocoon_stage_1")
   }
 
   test("a cached input stays cached after a run that rewrites it") {

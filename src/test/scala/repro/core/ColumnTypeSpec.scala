@@ -15,21 +15,21 @@ class ColumnTypeSpec extends SparkSpec {
 
   test("boolean column cast to canonical True/False") {
     val df = (Seq.fill(30)("yes") ++ Seq.fill(20)("no")).toDF("emergency_service")
-    val out = CleaningStep.apply(spark, df, ColumnType.step(strings(df), TableProfile.of(df), llm))
+    val out = CleaningStep.apply(df, ColumnType.step(strings(df), TableProfile.of(df), llm))
     assert(out.filter("emergency_service = 'True'").count() == 30)
     assert(out.filter("emergency_service = 'False'").count() == 20)
   }
 
   test("duration column cast to total minutes as double text") {
     val df = (Seq.fill(40)("100 min") ++ Seq.fill(4)("2 hr")).toDF("duration")
-    val out = CleaningStep.apply(spark, df, ColumnType.step(strings(df), TableProfile.of(df), llm))
+    val out = CleaningStep.apply(df, ColumnType.step(strings(df), TableProfile.of(df), llm))
     assert(out.filter("duration = '100.0'").count() == 40)
     assert(out.filter("duration = '120.0'").count() == 4)
   }
 
   test("rating column stripped of /10") {
     val df = (Seq.fill(30)("7.5/10") ++ Seq.fill(10)("8.1/10")).toDF("rating")
-    val out = CleaningStep.apply(spark, df, ColumnType.step(strings(df), TableProfile.of(df), llm))
+    val out = CleaningStep.apply(df, ColumnType.step(strings(df), TableProfile.of(df), llm))
     assert(out.filter("rating = '7.5'").count() == 30)
   }
 
@@ -55,7 +55,7 @@ class ColumnTypeSpec extends SparkSpec {
 
   test("boolean cast tolerates sparse nulls") {
     val df = (Seq.fill(30)(Some("yes")) ++ Seq.fill(20)(Some("no")) ++ Seq(None)).toDF("flag")
-    val out = CleaningStep.apply(spark, df, ColumnType.step(strings(df), TableProfile.of(df), llm))
+    val out = CleaningStep.apply(df, ColumnType.step(strings(df), TableProfile.of(df), llm))
     assert(out.filter("flag IS NULL").count() == 1)
     assert(out.filter("flag = 'True'").count() == 30)
   }

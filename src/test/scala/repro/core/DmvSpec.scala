@@ -15,14 +15,14 @@ class DmvSpec extends SparkSpec {
 
   test("nulls disguised missing values") {
     val df = (Seq.fill(20)("72") ++ Seq("N/A", "null", "-")).toDF("score")
-    val out = CleaningStep.apply(spark, df, Dmv.step(strings(df), TableProfile.of(df), llm))
+    val out = CleaningStep.apply(df, Dmv.step(strings(df), TableProfile.of(df), llm))
     assert(out.filter("score IS NULL").count() == 3)
     assert(out.filter("score = '72'").count() == 20)
   }
 
   test("DMV matching is by exact token, not substring") {
     val df = (Seq.fill(5)("nanomaterial") ++ Seq("none")).toDF("c")
-    val out = CleaningStep.apply(spark, df, Dmv.step(strings(df), TableProfile.of(df), llm))
+    val out = CleaningStep.apply(df, Dmv.step(strings(df), TableProfile.of(df), llm))
     assert(out.filter("c = 'nanomaterial'").count() == 5)
     assert(out.filter("c IS NULL").count() == 1)
   }
@@ -36,7 +36,7 @@ class DmvSpec extends SparkSpec {
     val df = Seq(("N/A", "x"), ("3", "unknown")).toDF("a", "b")
     val step = Dmv.step(strings(df), TableProfile.of(df), llm)
     assert(step.rewrites.map(_.column).toSet == Set("a", "b"))
-    val out = CleaningStep.apply(spark, df, step)
+    val out = CleaningStep.apply(df, step)
     assert(out.filter("a IS NULL").count() == 1 && out.filter("b IS NULL").count() == 1)
   }
 
@@ -49,7 +49,7 @@ class DmvSpec extends SparkSpec {
 
   test("case-insensitive DMV recognition") {
     val df = (Seq.fill(3)("ok") ++ Seq("NULL", "Not Available")).toDF("c")
-    val out = CleaningStep.apply(spark, df, Dmv.step(strings(df), TableProfile.of(df), llm))
+    val out = CleaningStep.apply(df, Dmv.step(strings(df), TableProfile.of(df), llm))
     assert(out.filter("c IS NULL").count() == 2)
   }
 }

@@ -18,7 +18,7 @@ class DuplicationUniquenessSpec extends SparkSpec {
     val df = (Seq.fill(3)(("a", "1")) ++ Seq(("b", "2"))).toDF("x", "y")
     val step = Duplication.step(df, TableProfile.of(df), llm, "customers")
     assert(step.rows.isInstanceOf[DistinctRows])
-    assert(CleaningStep.apply(spark, df, step).count() == 2)
+    assert(CleaningStep.apply(df, step).count() == 2)
   }
 
   test("duplication: log-like tables keep duplicates (semantic acceptance)") {
@@ -38,7 +38,7 @@ class DuplicationUniquenessSpec extends SparkSpec {
     val df = rows.toDF("customer_id", "updated_at", "payload")
     val step = Uniqueness.step(df.columns.toSeq, TableProfile.of(df), llm)
     assert(keyAndOrder(step) == ("customer_id", "updated_at"))
-    val out = CleaningStep.apply(spark, df, step)
+    val out = CleaningStep.apply(df, step)
     assert(out.count() == 19)
     assert(out.filter("customer_id = 'k0'").select("payload").collect().head.getString(0) == "new")
     assert(out.columns.toSeq == df.columns.toSeq)
@@ -52,7 +52,7 @@ class DuplicationUniquenessSpec extends SparkSpec {
     val step = Uniqueness.step(df.columns.toSeq, TableProfile.of(df), llm, Some("row_id"))
     assert(keyAndOrder(step) == ("customer_id", "updated_at"))
     def survivor(in: org.apache.spark.sql.DataFrame) =
-      CleaningStep.apply(spark, in, step).filter("customer_id = 'k0'").select("row_id", "payload").collect().toSeq
+      CleaningStep.apply(in, step).filter("customer_id = 'k0'").select("row_id", "payload").collect().toSeq
     val one  = survivor(df.repartition(1))
     val many = survivor(df.repartition(7, $"row_id").sortWithinPartitions($"row_id".desc))
     assert(one.map(r => (r.getLong(0), r.getString(1))) == Seq((3L, "tied")))

@@ -32,7 +32,7 @@ class FunctionalDepsSpec extends SparkSpec {
 
   test("repairs a confident violating group to the majority value") {
     val df = providerDf(corrupt = 3)
-    val out = CleaningStep.apply(spark, df, fdStep(df))
+    val out = CleaningStep.apply(df, fdStep(df))
     assert(out.filter("city = 'Reno'").count() == 0)
     assert(out.filter("provider_id = '10001' AND city = 'Dothan'").count() == 20)
   }
@@ -41,7 +41,7 @@ class FunctionalDepsSpec extends SparkSpec {
     // 10 of 20 corrupted → majority share 0.5 < 0.6 → left alone.
     val df = providerDf(corrupt = 10)
     val step = fdStep(df)
-    assert(CleaningStep.apply(spark, df, step).filter("city = 'Reno'").count() == 10)
+    assert(CleaningStep.apply(df, step).filter("city = 'Reno'").count() == 10)
   }
 
   test("semantically meaningless FDs are rejected even when statistically strong") {
@@ -78,7 +78,7 @@ class FunctionalDepsSpec extends SparkSpec {
     val df = rows.toDF("provider_id", "zip", "city")
     val step = fdStep(df)
     assert(step.rewrites.size == 1 && step.rewrites.head.column == "city")
-    val out = CleaningStep.apply(spark, df, step)
+    val out = CleaningStep.apply(df, step)
     assert(out.filter("city = 'Reno'").count() == 0)
   }
 

@@ -16,7 +16,7 @@ class StringOutliersSpec extends SparkSpec {
   test("fixes a frequency-grounded typo via CASE WHEN") {
     val df = (Seq.fill(20)("Birmingham") ++ Seq("Birmxngham")).toDF("city")
     val step = StringOutliers.step(strings(df), TableProfile.of(df), llm)
-    val out = CleaningStep.apply(spark, df, step)
+    val out = CleaningStep.apply(df, step)
     assert(out.filter("city = 'Birmxngham'").count() == 0)
     assert(out.filter("city = 'Birmingham'").count() == 21)
   }
@@ -24,7 +24,7 @@ class StringOutliersSpec extends SparkSpec {
   test("fixes language representation inconsistency to the dominant form") {
     val df = (Seq.fill(40)("eng") ++ Seq.fill(5)("English") ++ Seq.fill(20)("fre") ++ Seq.fill(3)("French"))
       .toDF("article_language")
-    val out = CleaningStep.apply(spark, df, StringOutliers.step(strings(df), TableProfile.of(df), llm))
+    val out = CleaningStep.apply(df, StringOutliers.step(strings(df), TableProfile.of(df), llm))
     assert(out.filter("article_language IN ('English','French')").count() == 0)
     assert(out.filter("article_language = 'eng'").count() == 45)
   }
@@ -44,7 +44,7 @@ class StringOutliersSpec extends SparkSpec {
   test("dictionary typos in unique text values are fixed") {
     val titles = Seq("Effects of tretment on stroke", "Risk factors for diabetes")
     val df = titles.toDF("title")
-    val out = CleaningStep.apply(spark, df, StringOutliers.step(strings(df), TableProfile.of(df), llm))
+    val out = CleaningStep.apply(df, StringOutliers.step(strings(df), TableProfile.of(df), llm))
     assert(out.filter("title = 'Effects of treatment on stroke'").count() == 1)
   }
 
@@ -54,7 +54,7 @@ class StringOutliersSpec extends SparkSpec {
     val df = (fillers ++ Seq.fill(20)("Birmingham") ++ Seq("Birmxngham")).toDF("c")
     assert(TableProfile.of(df)("c").frequentValues.indexWhere(_.value == "Birmxngham") == 999)
     val step = StringOutliers.step(strings(df), TableProfile.of(df), llm)
-    val out = CleaningStep.apply(spark, df, step)
+    val out = CleaningStep.apply(df, step)
     assert(out.filter("c = 'Birmxngham'").count() == 0)
   }
 

@@ -97,7 +97,7 @@ class ProfileCarrySpec extends SparkSpec {
     * column an FD repair rewrote, which it drops.
     */
   private def carryChecked(df: DataFrame, before: TableProfile, step: CleaningStep): Option[TableProfile] = {
-    val applied = CleaningStep.apply(spark, df, step)
+    val applied = CleaningStep.apply(df, step)
     val ((carried, jobs), executions) = countingExecutions(countingJobs(ProfileCarry.after(before, step, applied)))
     assert(jobs == 0, s"carrying ${step.issue} started $jobs Spark jobs")
     assert(executions == 0, s"carrying ${step.issue} started $executions SQL executions")
@@ -158,7 +158,7 @@ class ProfileCarrySpec extends SparkSpec {
     assert(carried.joint("city", "state") == Map(("Boston", "MA") -> 3L, ("N/A", "CA") -> 1L, ("Reno", "NV") -> 1L))
     assert(carried.joint("open", "city") == Map(("True", "Boston") -> 3L, ("False", "N/A") -> 1L, ("False", "Reno") -> 2L))
     val dmv = CleaningStep("dmv", Seq(ColumnRewrite("city", MapToNull(Seq("N/A")), "dmv")))
-    val applied = CleaningStep.apply(spark, df, s)
+    val applied = CleaningStep.apply(df, s)
     val nulled = carryChecked(applied, carried, dmv).get
     // Row 4 loses its city: it leaves every pair with the city.
     assert(nulled.joint("city", "state") == Map(("Boston", "MA") -> 3L, ("Reno", "NV") -> 1L))
@@ -166,7 +166,7 @@ class ProfileCarrySpec extends SparkSpec {
     assert(nulled.joint("state", "open") == carried.joint("state", "open"))
     // An FD repair drops its column's pairs and keeps the others.
     val fd = CleaningStep("fd", Seq(ColumnRewrite("state", FdRepair(Seq(FdCase("city", "Reno", "NV", "CA"))), "fd")))
-    val repaired = carryChecked(CleaningStep.apply(spark, applied, dmv), nulled, fd).get
+    val repaired = carryChecked(CleaningStep.apply(applied, dmv), nulled, fd).get
     assert(repaired.pairs.keySet == Set("open" -> "city"))
   }
 
@@ -175,7 +175,7 @@ class ProfileCarrySpec extends SparkSpec {
     val df = Seq((1L, "z1", "x1", "Boston"), (2L, "z1", "x1", "Dothan"), (3L, "z2", "x2", "Reno"))
       .toDF("row_id", "zip", "phone", "city")
     val p = TableProfile.of(df, Seq("zip" -> "city"))
-    def after(p: TableProfile, s: CleaningStep) = ProfileCarry.after(p, s, CleaningStep.apply(spark, df, s))
+    def after(p: TableProfile, s: CleaningStep) = ProfileCarry.after(p, s, CleaningStep.apply(df, s))
     def step(rws: (String, Rewrite)*) = CleaningStep("s", rws.map { case (c, rw) => ColumnRewrite(c, rw, "r") })
     def carry(rws: (String, Rewrite)*) = after(p, step(rws: _*))
 
@@ -184,7 +184,7 @@ class ProfileCarrySpec extends SparkSpec {
     assert(carry("row_id" -> RangeClamp(Some(2.0), None)).isEmpty, "non-string column")
     val reno = step("city" -> MapToNull(Seq("Reno")))
     // A plan that is not the step's Project over the column is never guessed at.
-    assert(ProfileCarry.after(p, reno, CleaningStep.apply(spark, df, reno).filter("row_id > 0")).isEmpty, "not a Project")
+    assert(ProfileCarry.after(p, reno, CleaningStep.apply(df, reno).filter("row_id > 0")).isEmpty, "not a Project")
     assert(ProfileCarry.after(p, reno, df.selectExpr("row_id", "zip", "phone", "upper(zip) AS city")).isEmpty, "not from the column")
     assert(ProfileCarry.after(p, reno, df).isEmpty, "the input's own plan")
     // A repair from two lhs columns, and one from a pair the profile did not count.
@@ -203,7 +203,7 @@ class ProfileCarrySpec extends SparkSpec {
       var df = ds.dirty
       val carried = result.steps.map { s =>
         val c = carryChecked(df, TableProfile.of(df, fdPairs), s)
-        df = CleaningStep.apply(spark, df, s).localCheckpoint()
+        df = CleaningStep.apply(df, s).localCheckpoint()
         s.issue -> c.isDefined
       }
       if (name == "flights") assert(carried.forall(_._2), s"flights steps not carried: $carried")
