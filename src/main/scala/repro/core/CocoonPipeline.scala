@@ -41,13 +41,14 @@ final case class CocoonResult(cleaned: DataFrame, steps: Seq[CleaningStep]) {
   * Stages share one [[TableProfile]] per table state, covering every column,
   * the key too (a key that is still distinct proves the table has no
   * duplicate rows). The FD gate reads only column names, so a run asks it
-  * first, and the profile also counts the joint values of every pair it
-  * accepts, from which the FD stage scores with no query. A run profiles its
-  * input once; each stage then decides, applies its step and carries the
-  * profile, pairs included, on the driver through the plan the step was
-  * applied as, with no query ([[ProfileCarry]]). The table is profiled
-  * again only where the carry cannot be exact and a later stage reads the
-  * profile, and counts the pairs again only while the FD stage is ahead.
+  * first, and the profile also counts, for each FD target of the pairs it
+  * accepts, the table of its lhs columns' and its own values, from which
+  * the FD stage scores with no query. A run profiles its input once; each
+  * stage then decides, applies its step and carries the profile, tables
+  * included, on the driver through the plan the step was applied as, with
+  * no query ([[ProfileCarry]]). The table is profiled again only where the
+  * carry cannot be exact (after a row action) and a later stage reads the
+  * profile, and counts the tables again only while the FD stage is ahead.
   * The applied steps are chained as one plan over the input, as the script
   * chains its CTEs; only the profile builds and the duplicate-row count
   * start Spark jobs, and no SQL text is parsed. `spark` is not read: the
@@ -79,8 +80,8 @@ object CocoonPipeline {
       Duplication.step(_, _, llm, cfg.tableDesc),
       (_, p) => Uniqueness.step(columns, p, llm, Some(cfg.keyCol).filter(columns.contains)),
     )
-    // Each stage with the pairs a profile built for it counts: the FD pairs
-    // up to the FD stage, none after it.
+    // Each stage with the pairs whose tables a profile built for it counts:
+    // the FD pairs up to the FD stage, none after it.
     val stages =
       valueStages.map(s => fdPairs -> ((_: DataFrame, p: TableProfile) => s(p))) ++
         rowStages.map(Seq.empty[(String, String)] -> _)

@@ -26,7 +26,8 @@ object FunctionalDeps {
   /** The ordered pairs of `columns`, the string columns an FD may relate,
     * that the LLM judges a meaningful FD lhs → rhs. The judgement reads only
     * the columns' names, so a run asks it once per pair, before any profile,
-    * and the profile counts the accepted pairs' joint values.
+    * and the profile counts a table for each accepted pair's rhs over its
+    * accepted lhs columns.
     */
   def meaningfulPairs(columns: Seq[String], llm: LLMClient): Seq[(String, String)] =
     for {

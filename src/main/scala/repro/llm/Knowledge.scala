@@ -14,23 +14,39 @@ object Knowledge {
 
   // ---------------------------------------------------------------- distances
 
-  /** Restricted Damerau–Levenshtein: like Levenshtein but adjacent
-    * transposition ("hte" → "the") counts as one edit — the common typo model.
+  /** Restricted Damerau–Levenshtein (optimal string alignment): like
+    * Levenshtein but adjacent transposition ("hte" → "the") counts as one
+    * edit — the common typo model. Only distances up to `maxD` are told
+    * apart: a farther pair gives `maxD + 1`, as soon as a row of the
+    * alignment holds nothing within `maxD` (a row's least entry never
+    * drops in the rows below it). Three rolling rows, the one two back for
+    * transpositions.
     */
-  def damerau(a: String, b: String): Int = {
+  def damerauWithin(a: String, b: String, maxD: Int): Int = {
     val m = a.length; val n = b.length
-    if (m == 0) return n
-    if (n == 0) return m
-    val d = Array.ofDim[Int](m + 1, n + 1)
-    for (i <- 0 to m) d(i)(0) = i
-    for (j <- 0 to n) d(0)(j) = j
-    for (i <- 1 to m; j <- 1 to n) {
-      val cost = if (a.charAt(i - 1) == b.charAt(j - 1)) 0 else 1
-      d(i)(j) = math.min(math.min(d(i - 1)(j) + 1, d(i)(j - 1) + 1), d(i - 1)(j - 1) + cost)
-      if (i > 1 && j > 1 && a.charAt(i - 1) == b.charAt(j - 2) && a.charAt(i - 2) == b.charAt(j - 1))
-        d(i)(j) = math.min(d(i)(j), d(i - 2)(j - 2) + 1)
+    if (math.abs(m - n) > maxD) return maxD + 1
+    var back = new Array[Int](n + 1)
+    var prev = Array.tabulate(n + 1)(identity)
+    var cur  = new Array[Int](n + 1)
+    var i = 1
+    while (i <= m) {
+      cur(0) = i
+      var least = i
+      var j = 1
+      while (j <= n) {
+        val cost = if (a.charAt(i - 1) == b.charAt(j - 1)) 0 else 1
+        var d = math.min(math.min(prev(j) + 1, cur(j - 1) + 1), prev(j - 1) + cost)
+        if (i > 1 && j > 1 && a.charAt(i - 1) == b.charAt(j - 2) && a.charAt(i - 2) == b.charAt(j - 1))
+          d = math.min(d, back(j - 2) + 1)
+        cur(j) = d
+        least = math.min(least, d)
+        j += 1
+      }
+      if (least > maxD) return maxD + 1
+      val t = back; back = prev; prev = cur; cur = t
+      i += 1
     }
-    d(m)(n)
+    math.min(prev(n), maxD + 1)
   }
 
   // ----------------------------------------------------------------- lexicons
@@ -137,7 +153,7 @@ object Knowledge {
   def dictCandidates(token: String, maxD: Int): Seq[(String, Int)] =
     dictionary.toSeq
       .filter(w => math.abs(w.length - token.length) <= maxD)
-      .map(w => (w, damerau(token, w)))
+      .map(w => (w, damerauWithin(token, w, maxD)))
       .filter { case (w, d) => d > 0 && d <= maxD && w.length >= 3 }
       .sortBy { case (w, d) => (d, w) }
 

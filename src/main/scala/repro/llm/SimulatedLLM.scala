@@ -88,6 +88,9 @@ final class SimulatedLLM extends LLMClient {
     */
   private val TypoFreqRatio = 4L
 
+  /** Numeric text: an optional minus, digits and an optional fraction. */
+  private val Numeric = """-?\d+(\.\d+)?""".r
+
   private def conceptOf(v: String): Option[String] = Knowledge.languageConcept(v)
 
   /** Two same-length values whose differing characters are all digit-vs-digit
@@ -95,7 +98,10 @@ final class SimulatedLLM extends LLMClient {
     * numeric disagreement is not a spelling error.
     */
   private def digitOnlyDiff(a: String, b: String): Boolean =
-    a.length == b.length && a.zip(b).forall { case (x, y) => x == y || (x.isDigit && y.isDigit) } && a != b
+    a.length == b.length && a != b && a.indices.forall { i =>
+      val (x, y) = (a.charAt(i), b.charAt(i))
+      x == y || (x.isDigit && y.isDigit)
+    }
 
   /** Purely numeric-ish values (counts, times, zips, phones) — two different
     * numbers are alternatives, never typos of each other.
@@ -103,28 +109,31 @@ final class SimulatedLLM extends LLMClient {
   private def numericLike(s: String): Boolean =
     s.nonEmpty && s.exists(_.isDigit) && s.forall(ch => ch.isDigit || ".:-/ ".contains(ch))
 
-  /** Typo target for `v` among more frequent values of the same column.
+  /** The values of one prompt's context a typo may target, each with its
+    * lower-cased text: those with at least 3 rows, most rows first. Built
+    * once per prompt, so each value scans only the prefix with enough rows.
+    */
+  private def typoTargets(context: Seq[ValueCount]): Seq[(ValueCount, String)] =
+    context.filter(_.count >= 3).sortBy(-_.count).map(u => u -> u.value.toLowerCase)
+
+  /** Typo target for `v` among more frequent values of the same column: the
+    * one nearest by Damerau distance, at most `maxD`, if no other is as near.
     * Values shorter than 3 characters or in a known-valid vocabulary (state
     * codes, language codes) are never typos — world knowledge over statistics.
     */
-  private def frequentTypoTarget(v: ValueCount, context: Seq[ValueCount]): Option[String] = {
+  private def frequentTypoTarget(v: ValueCount, targets: Seq[(ValueCount, String)]): Option[String] = {
     if (v.value.length < 3 || Knowledge.isKnownValidToken(v.value) || numericLike(v.value)) return None
-    val maxD = math.max(1, v.value.length / 6)
+    val maxD  = math.max(1, v.value.length / 6)
     val lower = v.value.toLowerCase
-    val cands = context
-      .filter(u => u.value != v.value && u.count >= v.count * TypoFreqRatio && u.count >= 3)
+    val near = targets.iterator
+      .takeWhile(_._1.count >= v.count * TypoFreqRatio)
       // the edit distance is at least the length difference
-      .filter(u => math.abs(u.value.toLowerCase.length - lower.length) <= maxD)
-      .filterNot(u => digitOnlyDiff(lower, u.value.toLowerCase))
-      .map(u => (u, Knowledge.damerau(lower, u.value.toLowerCase)))
+      .filter { case (u, l) => u.value != v.value && math.abs(l.length - lower.length) <= maxD && !digitOnlyDiff(lower, l) }
+      .map { case (u, l) => u.value -> Knowledge.damerauWithin(lower, l, maxD) }
       .filter { case (_, d) => d > 0 && d <= maxD }
-      .sortBy { case (u, d) => (d, -u.count, u.value) }
-    cands match {
-      case Seq()            => None
-      case Seq((u, _))      => Some(u.value)
-      case (u, d) +: rest   => // commit only when the best target is unambiguous
-        if (rest.exists(_._2 == d)) None else Some(u.value)
-    }
+      .toSeq
+    // commit only when the best target is unambiguous
+    near.map(_._2).minOption.map(d => near.filter(_._2 == d)).collect { case Seq((u, _)) => u }
   }
 
   /** Dictionary-based typo fix across the tokens of a free-text value.
@@ -133,7 +142,7 @@ final class SimulatedLLM extends LLMClient {
     * not "correct" proper nouns in a domain it has no coverage of
     * ("River Trail Brewing" stays put).
     */
-  private def dictionaryFix(v: String): Option[String] = {
+  private[llm] def dictionaryFix(v: String): Option[String] = {
     val toks = v.split(" ", -1)
     val wordToks = toks.filter(t => t.length >= 3 && t.forall(_.isLetter))
     val coverage =
@@ -156,7 +165,7 @@ final class SimulatedLLM extends LLMClient {
   /** The concept-synonym target: map `v` to the most frequent value sharing
     * its concept (e.g. "English" → "eng" when "eng" dominates).
     */
-  private def conceptTarget(v: ValueCount, context: Seq[ValueCount]): Option[String] =
+  private[llm] def conceptTarget(v: ValueCount, context: Seq[ValueCount]): Option[String] =
     conceptOf(v.value).flatMap { c =>
       context
         .filter(u => u.value != v.value && conceptOf(u.value).contains(c))
@@ -166,13 +175,14 @@ final class SimulatedLLM extends LLMClient {
         .map(_.value)
     }
 
-  private def mappingFor(v: ValueCount, context: Seq[ValueCount]): Option[String] =
+  private def mappingFor(v: ValueCount, context: Seq[ValueCount], targets: Seq[(ValueCount, String)]): Option[String] =
     conceptTarget(v, context)
-      .orElse(frequentTypoTarget(v, context))
+      .orElse(frequentTypoTarget(v, targets))
       .orElse(dictionaryFix(v.value))
 
   override def reviewStringOutliers(column: String, values: Seq[ValueCount]): StringReview = {
-    val unusual = values.filter(v => mappingFor(v, values).isDefined).map(_.value)
+    val targets = typoTargets(values)
+    val unusual = values.filter(v => mappingFor(v, values, targets).isDefined).map(_.value)
     if (unusual.isEmpty)
       StringReview(unusual = false, Seq.empty, s"The values of $column look consistent; no typos or redundant representations found.")
     else
@@ -185,9 +195,10 @@ final class SimulatedLLM extends LLMClient {
 
   override def proposeStringMapping(column: String, unusual: Seq[String], context: Seq[ValueCount]): Map[String, String] = {
     val byValue = context.map(v => v.value -> v).toMap
+    val targets = typoTargets(context)
     unusual.flatMap { u =>
       val vc = byValue.getOrElse(u, ValueCount(u, 1L))
-      mappingFor(vc, context).map(u -> _)
+      mappingFor(vc, context, targets).map(u -> _)
     }.toMap
   }
 
@@ -228,7 +239,7 @@ final class SimulatedLLM extends LLMClient {
     val boolShare   = share(v => Knowledge.booleanConcept(v).isDefined)
     val durShare    = share(v => Knowledge.Duration.formatOf(v).isDefined)
     val ratingShare = share(v => Knowledge.Rating.formatOf(v).contains("of10"))
-    val numShare    = share(v => v.trim.nonEmpty && v.trim.matches("""-?\d+(\.\d+)?"""))
+    val numShare    = share(v => Numeric.matches(v.trim))
     if (boolShare >= 0.95 && nonNull.map(_.value).distinct.size >= 2)
       Some(TypeSuggestion("BOOLEAN", "boolean", s"$column holds yes/no style values; semantically a boolean."))
     else if (durShare >= 0.95)

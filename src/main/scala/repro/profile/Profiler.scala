@@ -1,5 +1,6 @@
 package repro.profile
 
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 
 import org.apache.spark.sql.{Column, DataFrame, functions => F}
@@ -113,14 +114,15 @@ object ColumnProfile {
 }
 
 /** Profile of one table state: its rows, a [[ColumnProfile]] for every
-  * column, each keeping its whole (value, rows) table, and the joint counts
-  * of the column pairs it was asked to count. A stage reads the prefix of
+  * column, each keeping its whole (value, rows) table, and the tables it was
+  * asked to count: the rows of each combination of some columns' values,
+  * NULL cells included, keyed by those columns. A stage reads the prefix of
   * ranked values it needs.
   */
 final case class TableProfile(
     rowCount: Long,
     columns: Map[String, ColumnProfile],
-    pairs: Map[(String, String), TableProfile.Joint] = Map.empty,
+    tables: Map[Seq[String], TableProfile.Table] = Map.empty,
 ) {
 
   def apply(col: String): ColumnProfile = columns(col)
@@ -128,39 +130,60 @@ final case class TableProfile(
   /** The `n` most frequent non-null values of `col`. */
   def frequentValues(col: String, n: Int): Seq[ValueCount] = columns(col).frequentValues.take(n)
 
+  /** The rows of each combination of the values of `cols`, in that order,
+    * NULL included: one column's counts, or the smallest counted table
+    * holding every column of `cols`, summed down to them. `None` when no
+    * table holds them all.
+    */
+  def table(cols: Seq[String]): Option[TableProfile.Table] = cols match {
+    case Seq(c) => Some(columns(c).counts.map { case (v, n) => Seq(v) -> n })
+    case _ =>
+      tables.filter(t => cols.forall(t._1.contains)).minByOption(_._2.size).map { case (held, t) =>
+        val at = cols.map(held.indexOf)
+        t.groupMapReduce { case (vs, _) => at.map(vs) }(_._2)(_ + _)
+      }
+  }
+
   /** The rows of each (`lhs` value, `rhs` value), over the rows where
-    * neither is NULL. The pair must have been counted, in either order.
+    * neither is NULL: the pair's [[table]] with its NULL cells left out. A
+    * counted table must hold both columns.
     */
   def joint(lhs: String, rhs: String): TableProfile.Joint =
-    pairs.get((lhs, rhs))
-      .orElse(pairs.get((rhs, lhs)).map(_.map { case ((r, l), n) => (l, r) -> n }))
+    table(Seq(lhs, rhs))
       .getOrElse(throw new NoSuchElementException(s"the profile counted no pair of $lhs and $rhs"))
+      .collect { case (Seq(l, r), n) if l != null && r != null => (l, r) -> n }
 }
 
 object TableProfile {
 
+  /** The rows of each combination of some columns' values, NULL included. */
+  type Table = Map[Seq[String], Long]
+
   /** The rows of each (lhs value, rhs value) of a column pair, neither NULL. */
   type Joint = Map[(String, String), Long]
 
-  /** Profile every column, and count the joint values of each of `pairs`,
-    * in one Spark job and one SQL execution. One projection gives each
-    * column's value as text and, for a non-string column, its typed
-    * `TRY_CAST` to double, NULL where Spark cannot cast the type to double
-    * (DATE, BINARY, nested types). Each input partition's task counts its
-    * projected rows in place: the rows of each (column, text) and of each
-    * (pair, lhs text, rhs text) with neither side NULL, and each typed
-    * column's [[ColumnProfile.Numbers]], row by row. A pair is counted once
-    * in whichever order it comes first: joint counts serve both directions.
-    * The driver sums the partitions' rows and counts and combines their
-    * numbers, so it receives each distinct value at most once per partition,
-    * and every value stays in the profile. A string column's numbers are
-    * taken once per distinct value, by [[ColumnProfile.ofStrings]]; any
-    * other column's come from its typed cast ([[ColumnProfile.of]]).
+  /** Profile every column, and count a table for each FD target of `pairs`,
+    * in one Spark job and one SQL execution. A target's table holds its lhs
+    * columns, in pair order, then the target; a table whose columns another
+    * table holds is not counted, since [[TableProfile.table]] sums the other
+    * down to them. One projection gives each column's value as text and,
+    * for a non-string column, its typed `TRY_CAST` to double, NULL where
+    * Spark cannot cast the type to double (DATE, BINARY, nested types). Each
+    * input partition's task counts its projected rows in place: the rows of
+    * each (column, text) and of each combination of a table's texts, NULL
+    * cells included, and each typed column's [[ColumnProfile.Numbers]], row
+    * by row. The driver sums the partitions' rows and counts and combines
+    * their numbers, so it receives each distinct value at most once per
+    * partition, and every value stays in the profile. A string column's
+    * numbers are taken once per distinct value, by
+    * [[ColumnProfile.ofStrings]]; any other column's come from its typed cast
+    * ([[ColumnProfile.of]]).
     */
   def of(df: DataFrame, pairs: Seq[(String, String)] = Seq.empty): TableProfile = {
     val fields = df.schema.fields.toSeq
-    val counted = pairs.distinctBy { case (l, r) => Set(l, r) }
-    val pairAt = counted.map { case (l, r) => (df.schema.fieldIndex(l), df.schema.fieldIndex(r)) }.toArray
+    val wanted = pairs.map(_._2).distinct.map(rhs => pairs.collect { case (l, `rhs`) => l }.distinct :+ rhs)
+    val counted = wanted.distinctBy(_.toSet).filterNot(t => wanted.exists(o => o.size > t.size && t.forall(o.contains)))
+    val tableAt = counted.map(_.map(df.schema.fieldIndex).toArray).toArray
 
     // Column i's text at ordinal i, then the typed numbers, column i's at
     // numberAt(i) (-1 for none): TRY_CASTs, which `Cast.canTryCast` admits.
@@ -171,69 +194,68 @@ object TableProfile {
 
     val qe = projected.queryExecution
     val parts = SQLExecution.withNewExecutionId(qe, Some("profile")) {
-      qe.toRdd.mapPartitions(rows => Iterator(countPartition(rows, numberAt, pairAt))).collect().toSeq
+      qe.toRdd.mapPartitions(rows => Iterator(countPartition(rows, numberAt, tableAt))).collect().toSeq
     }
 
+    // The (text, rows) every partition counted at `k`; a table's cells are `width` texts each.
+    def counts(k: Int): Seq[(String, Long)] = parts.flatMap(p => p.texts(k).iterator.zip(p.rows(k)))
+    def cells(k: Int, width: Int): Seq[(Seq[String], Long)] =
+      parts.flatMap(p => p.texts(k).grouped(width).map(c => ArraySeq.unsafeWrapArray(c): Seq[String]).zip(p.rows(k)))
     val profiles = fields.zipWithIndex.map { case (f, i) =>
-      val values = parts.flatMap(_.values(i))
-      f.name -> (if (isString(f)) ColumnProfile.ofStrings(values) else ColumnProfile.of(summed(values), parts.map(_.numbers(i)).foldLeft(Numbers())(_ ++ _)))
+      f.name -> (if (isString(f)) ColumnProfile.ofStrings(counts(i)) else ColumnProfile.of(summed(counts(i)), parts.map(_.numbers(i)).foldLeft(Numbers())(_ ++ _)))
     }
-    val joints = counted.indices.map(j => counted(j) -> summed(parts.flatMap(_.joints(j))))
-    TableProfile(parts.map(_.rows).sum, profiles.toMap, joints.toMap)
+    val tables = counted.indices.map(j => counted(j) -> summed(cells(fields.size + j, counted(j).size)))
+    TableProfile(parts.map(_.total).sum, profiles.toMap, tables.toMap)
   }
 
-  /** One partition's counts: its rows, each column's (text, rows) and
-    * numbers (empty for a string column), and each pair's
-    * ((lhs text, rhs text), rows).
+  /** One partition's counts: its rows; each column's distinct texts, then
+    * each table's cells, a cell's texts one after another, with the rows of
+    * each; and each column's numbers (empty for a string column). Flat
+    * arrays, so a task's result serializes with no object per count.
     */
-  private final case class Counts(
-      rows: Long,
-      values: Array[Array[(String, Long)]],
-      numbers: Array[Numbers],
-      joints: Array[Array[((String, String), Long)]],
-  )
+  private final case class Counts(total: Long, texts: Array[Array[String]], rows: Array[Array[Long]], numbers: Array[Numbers])
 
   /** The rows of one value. */
   private final class Tally(var rows: Long = 0L)
 
   /** Count one partition of the projection [[of]] runs: `numberAt(i)` is the
-    * ordinal of column i's typed number (-1 for none), and each of `pairAt`
-    * the ordinals of a pair's two texts.
+    * ordinal of column i's typed number (-1 for none), and each of `tableAt`
+    * the ordinals of a table's texts.
     */
-  private def countPartition(rows: Iterator[InternalRow], numberAt: Array[Int], pairAt: Array[(Int, Int)]): Counts = {
+  private def countPartition(rows: Iterator[InternalRow], numberAt: Array[Int], tableAt: Array[Array[Int]]): Counts = {
     val values  = Array.fill(numberAt.length)(mutable.HashMap.empty[UTF8String, Tally])
     val numbers = Array.fill(numberAt.length)(Numbers())
-    val joints  = Array.fill(pairAt.length)(mutable.HashMap.empty[(UTF8String, UTF8String), Tally])
-    val texts   = new Array[UTF8String](numberAt.length)
+    val tables  = Array.fill(tableAt.length)(mutable.HashMap.empty[ArraySeq[UTF8String], Tally])
+    val row     = new Array[UTF8String](numberAt.length)
     var n       = 0L
-    for (row <- rows) {
+    for (r <- rows) {
       n += 1
-      for (i <- texts.indices) {
-        texts(i) = if (row.isNullAt(i)) null else row.getUTF8String(i)
-        tally(values(i), texts(i))(s => if (s == null) null else s.clone()).rows += 1
+      for (i <- row.indices) {
+        row(i) = if (r.isNullAt(i)) null else r.getUTF8String(i)
+        tally(values(i), row(i))(copied).rows += 1
         val k = numberAt(i)
-        if (k >= 0 && !row.isNullAt(k)) numbers(i) = numbers(i).add(row.getDouble(k))
+        if (k >= 0 && !r.isNullAt(k)) numbers(i) = numbers(i).add(r.getDouble(k))
       }
-      for (j <- pairAt.indices) {
-        val (l, r) = (texts(pairAt(j)._1), texts(pairAt(j)._2))
-        if (l != null && r != null) tally(joints(j), (l, r)) { case (a, b) => (a.clone(), b.clone()) }.rows += 1
-      }
+      for (j <- tableAt.indices)
+        tally(tables(j), ArraySeq.unsafeWrapArray(tableAt(j).map(row)))(_.map(copied)).rows += 1
     }
     def text(s: UTF8String): String = if (s == null) null else s.toString
+    // A map's keys and values iterate its one hash table in the same order.
     Counts(
       n,
-      values.map(_.iterator.map { case (v, t) => text(v) -> t.rows }.toArray),
+      values.map(_.keysIterator.map(text).toArray) ++ tables.map(_.keysIterator.flatMap(_.map(text)).toArray),
+      values.map(_.valuesIterator.map(_.rows).toArray) ++ tables.map(_.valuesIterator.map(_.rows).toArray),
       numbers,
-      joints.map(_.iterator.map { case ((l, r), t) => (text(l), text(r)) -> t.rows }.toArray),
     )
   }
+
+  /** A projected row's string, copied: the row points into a buffer the next row reuses. */
+  private def copied(s: UTF8String): UTF8String = if (s == null) null else s.clone()
 
   /** Every partition's (key, rows), summed per key. */
   private def summed[K](counts: Iterable[(K, Long)]): Map[K, Long] = counts.groupMapReduce(_._1)(_._2)(_ + _)
 
-  /** The tally of `key` in `counts`, added under `copy(key)` if missing: a
-    * projected row's strings point into a buffer the next row reuses.
-    */
+  /** The tally of `key` in `counts`, added under `copy(key)` if missing. */
   private def tally[K](counts: mutable.HashMap[K, Tally], key: K)(copy: K => K): Tally =
     counts.getOrElse(key, { val t = new Tally; counts(copy(key)) = t; t })
 
@@ -294,8 +316,8 @@ object Profiler {
   /** Score every (lhs, rhs) pair from the joint counts the profile took —
     * the single-attribute partition refinement of TANE [Huhtala et al.] —
     * keeping up to `maxGroups` violating groups per pair. Returns one
-    * [[FdScore]] per pair, in order, and runs no query: the profile must have
-    * counted every pair ([[TableProfile.joint]]).
+    * [[FdScore]] per pair, in order, and runs no query: a table the profile
+    * counted must hold every pair ([[TableProfile.joint]]).
     */
   def scoreFds(profile: TableProfile, pairs: Seq[(String, String)], maxGroups: Int): Seq[FdScore] =
     pairs.map { case (lhs, rhs) =>

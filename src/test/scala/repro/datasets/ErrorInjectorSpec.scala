@@ -17,7 +17,7 @@ class ErrorInjectorSpec extends AnyFunSuite {
     val rnd = new Random(2)
     for (v <- Seq("Birmingham", "AMI-1", "American Airlines")) {
       val t = typoX(v, rnd).get
-      assert(Knowledge.damerau(t.toLowerCase, v.toLowerCase) <= 1)
+      assert(Knowledge.damerauWithin(t.toLowerCase, v.toLowerCase, 1) <= 1)
     }
   }
 

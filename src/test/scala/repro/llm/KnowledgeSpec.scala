@@ -13,11 +13,11 @@ class KnowledgeSpec extends AnyFunSuite {
   }
   test("levenshtein of empty strings") { assert(levenshtein("", "abc") == 3) }
   test("levenshtein transposition costs 2") { assert(levenshtein("the", "hte") == 2) }
-  test("damerau transposition costs 1") { assert(damerau("the", "hte") == 1) }
+  test("damerau transposition costs 1") { assert(damerauWithin("the", "hte", 2) == 1) }
   test("damerau equals levenshtein without transpositions") {
-    assert(damerau("coffee", "cofffee") == 1)
+    assert(damerauWithin("coffee", "cofffee", 2) == 1)
   }
-  test("damerau symmetric") { assert(damerau("abcd", "acbd") == damerau("acbd", "abcd")) }
+  test("damerau symmetric") { assert(damerauWithin("abcd", "acbd", 3) == damerauWithin("acbd", "abcd", 3)) }
 
   test("languageConcept maps full names to codes") {
     assert(languageConcept("English").contains("eng"))

@@ -1,7 +1,7 @@
 package repro.llm
 
 /** Classic Levenshtein edit distance: the reference that
-  * [[Knowledge.damerau]] is checked against (it never exceeds it, and equals
+  * [[TypoReference.damerau]] is checked against (it never exceeds it, and equals
   * it when no adjacent transposition helps).
   */
 object Levenshtein {

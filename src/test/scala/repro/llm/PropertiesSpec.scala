@@ -39,13 +39,13 @@ class PropertiesSpec extends AnyFunSuite {
 
   test("damerau never exceeds levenshtein") {
     forAllSeeded(wordPair) { case (a, b) =>
-      assert(Knowledge.damerau(a, b) <= Levenshtein.distance(a, b))
+      assert(TypoReference.damerau(a, b) <= Levenshtein.distance(a, b))
     }
   }
 
   test("damerau is at least the length difference") {
     forAllSeeded(wordPair) { case (a, b) =>
-      assert(Knowledge.damerau(a, b) >= math.abs(a.length - b.length))
+      assert(TypoReference.damerau(a, b) >= math.abs(a.length - b.length))
     }
   }
 
@@ -55,15 +55,15 @@ class PropertiesSpec extends AnyFunSuite {
       val i = i0 % (s.length - 1)
       if (s(i) != s(i + 1)) {
         val t = s.updated(i, s(i + 1)).updated(i + 1, s(i))
-        assert(Knowledge.damerau(s, t) == 1, s"$s vs $t")
+        assert(TypoReference.damerau(s, t) == 1, s"$s vs $t")
       }
     }
   }
 
   test("single-character edits are distance 1") {
     forAllSeeded(word.suchThat(_.nonEmpty)) { s =>
-      assert(Knowledge.damerau(s, s + "q") == 1)
-      assert(Knowledge.damerau(s, s.tail) == 1)
+      assert(TypoReference.damerau(s, s + "q") == 1)
+      assert(TypoReference.damerau(s, s.tail) == 1)
     }
   }
 

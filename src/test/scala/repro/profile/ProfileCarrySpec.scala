@@ -12,8 +12,8 @@ import repro.llm.SimulatedLLM
 
 /** The profile [[ProfileCarry]] derives on the driver equals the one
   * [[TableProfile.of]] measures on the rewritten table, wherever the carry is
-  * defined, the joint counts of its column pairs included, and deriving it
-  * starts no Spark job and no SQL execution.
+  * defined, its counted tables included, and deriving it starts no Spark job
+  * and no SQL execution.
   *
   * Profiles are compared up to the sign of a zero minimum or maximum: with
   * both "-0" and "0" in a column, Spark's `min` keeps whichever it meets
@@ -31,10 +31,13 @@ class ProfileCarrySpec extends SparkSpec {
   ))
   private val strings = Seq("a", "b", "c", "empty")
 
-  /** The column pairs whose joint counts the profiles carry: one pair given
-    * in the other column order, and one with an all-null side.
+  /** The FD pairs whose tables the profiles count: b's table, which holds
+    * c's, and one with an all-null column.
     */
   private val pairs = Seq("a" -> "b", "c" -> "b", "a" -> "c", "a" -> "empty")
+
+  /** The tables [[TableProfile.of]] counts for `pairs`. */
+  private val tables = Seq(Seq("a", "c", "b"), Seq("a", "empty"))
 
   // Numbers Spark and Scala parse differently, quotes, and a character
   // outside the Basic Multilingual Plane against U+FFFD, which sort one way
@@ -54,18 +57,25 @@ class ProfileCarrySpec extends SparkSpec {
     rows <- Gen.listOfN(n, Gen.zip(Gen.oneOf(pools(0)), Gen.oneOf(pools(1)), Gen.oneOf(pools(2)), Gen.oneOf[Integer](null, 0, 7)))
   } yield rows.zipWithIndex.map { case ((a, b, c, q), k) => Row(k.toLong, a, b, c, null, q) }
 
-  /** A single-lhs FD repair of `rhs` over `rows`, its lhs a column whose
-    * pair with `rhs` the profiles count, in either order. Its arms are some of
-    * the pair's (lhs, rhs) values with neither side NULL; the table's other
+  /** An FD repair of `rhs` over `rows`, its lhs one or two other columns of
+    * a counted table holding `rhs`, in either role. Its arms are some of
+    * each lhs's (lhs, rhs) values with neither side NULL; the table's other
     * rows, a side NULL or not, keep their `rhs`.
     */
   private def fdRepair(rows: Seq[Row], rhs: String): Gen[Rewrite] = for {
-    lhs     <- Gen.oneOf(pairs.collect { case (l, `rhs`) => l; case (`rhs`, r) => r })
-    li = schema.fieldIndex(lhs); ri = schema.fieldIndex(rhs)
-    joint = rows.filter(r => !r.isNullAt(li) && !r.isNullAt(ri)).map(r => (r.getString(li), r.getString(ri))).distinct.sorted
-    arms    <- Gen.someOf(joint)
-    targets <- Gen.listOfN(arms.size, nonNull)
-  } yield FdRepair(arms.toSeq.zip(targets).map { case ((l, bad), t) => FdCase(lhs, l, bad, t) })
+    table <- Gen.oneOf(tables.filter(_.contains(rhs)))
+    lhs   <- Gen.atLeastOne(table.filter(_ != rhs))
+    cases <- Gen.sequence[Seq[Seq[FdCase]], Seq[FdCase]](lhs.toSeq.map(fdCases(rows, _, rhs)))
+  } yield FdRepair(cases.flatten)
+
+  private def fdCases(rows: Seq[Row], lhs: String, rhs: String): Gen[Seq[FdCase]] = {
+    val (li, ri) = (schema.fieldIndex(lhs), schema.fieldIndex(rhs))
+    val joint = rows.filter(r => !r.isNullAt(li) && !r.isNullAt(ri)).map(r => (r.getString(li), r.getString(ri))).distinct.sorted
+    for {
+      arms    <- Gen.someOf(joint)
+      targets <- Gen.listOfN(arms.size, nonNull)
+    } yield arms.toSeq.zip(targets).map { case ((l, bad), t) => FdCase(lhs, l, bad, t) }
+  }
 
   private def rewrite(rows: Seq[Row], col: String): Gen[Rewrite] = {
     val clamp = Gen.zip(bound, bound).map { case (lo, hi) => RangeClamp(lo, hi) }
@@ -89,23 +99,26 @@ class ProfileCarrySpec extends SparkSpec {
   private def canon(p: TableProfile) = {
     def bits(d: Option[Double]) = d.map(x => java.lang.Double.doubleToLongBits(x + 0.0)) // -0.0 + 0.0 is 0.0
     (p.rowCount, p.columns.view.mapValues(c =>
-      (c.copy(minNumeric = None, maxNumeric = None), bits(c.minNumeric), bits(c.maxNumeric))).toMap, p.pairs)
+      (c.copy(minNumeric = None, maxNumeric = None), bits(c.minNumeric), bits(c.maxNumeric))).toMap, p.tables)
   }
 
   /** The carried profile, checked against a fresh one wherever it is
-    * defined: its columns, and the joint counts of every pair but those of a
-    * column an FD repair rewrote, which it drops.
+    * defined: its columns, and every table `before` counted for `pairs` but
+    * those holding a column an FD repair rewrote, which it drops.
     */
-  private def carryChecked(df: DataFrame, before: TableProfile, step: CleaningStep): Option[TableProfile] = {
+  private def carryChecked(df: DataFrame, pairs: Seq[(String, String)], step: CleaningStep): Option[TableProfile] =
+    carryChecked(df, TableProfile.of(df, pairs), pairs, step)
+
+  private def carryChecked(df: DataFrame, before: TableProfile, pairs: Seq[(String, String)], step: CleaningStep): Option[TableProfile] = {
     val applied = CleaningStep.apply(df, step)
     val ((carried, jobs), executions) = countingExecutions(countingJobs(ProfileCarry.after(before, step, applied)))
     assert(jobs == 0, s"carrying ${step.issue} started $jobs Spark jobs")
     assert(executions == 0, s"carrying ${step.issue} started $executions SQL executions")
     carried.foreach { c =>
       val repaired = step.rewrites.collect { case ColumnRewrite(col, FdRepair(cases), _) if cases.nonEmpty => col }.toSet
-      assert(c.pairs.keySet == before.pairs.keySet.filterNot { case (l, r) => repaired(l) || repaired(r) }, s"pairs after $step")
-      val rebuilt = TableProfile.of(applied, c.pairs.keys.toSeq)
-      assert(canon(c) == canon(rebuilt), s"carried ≠ rebuilt after $step")
+      assert(c.tables.keySet == before.tables.keySet.filterNot(_.exists(repaired)), s"tables after $step")
+      val rebuilt = TableProfile.of(applied, pairs)
+      assert(canon(c) == canon(rebuilt.copy(tables = rebuilt.tables.filter(t => c.tables.contains(t._1)))), s"carried ≠ rebuilt after $step")
     }
     carried
   }
@@ -113,33 +126,37 @@ class ProfileCarrySpec extends SparkSpec {
   test("the carried profile equals a fresh profile after random value maps and FD repairs") {
     val gen = for { rows <- table; s <- step(rows) } yield (rows, s)
     var carried = 0
-    // Carried samples where a pair's row lost a side to NULL, and where two
-    // of a pair's value combinations merged into one.
+    // Carried samples where a table's cell gained a NULL, and where two of a
+    // table's cells merged into one.
     var nulled, merged = 0
-    // Carried samples with an FD repair whose pair was counted in the other
-    // column order, and with one over a table where a row has a NULL side.
-    var reversed, nullSide = 0
+    // Carried samples with an FD repair from two lhs columns, with one whose
+    // lhs is not an FD lhs of its column in `pairs`, and with one over a table
+    // where a row has a NULL side.
+    var twoLhs, reversed, nullSide = 0
     Seeded.forAll(gen, n = 150) { case (rows, s) =>
       val df = spark.createDataFrame(spark.sparkContext.parallelize(rows, 2), schema)
       val before = TableProfile.of(df, pairs)
-      val result = carryChecked(df, before, s)
+      assert(before.tables.keySet == tables.toSet)
+      val result = carryChecked(df, before, pairs, s)
       assert(result.isDefined == s.rewrites.forall(_.column != "qty"), s"carry defined = ${result.isDefined} for $s")
       result.foreach { after =>
         carried += 1
-        val repairs = s.rewrites.collect { case ColumnRewrite(rhs, FdRepair(cases), _) if cases.nonEmpty => (cases.head.lhsCol, rhs) }
-        if (repairs.exists(p => !pairs.contains(p))) reversed += 1
-        if (repairs.exists { case (l, r) => rows.exists(row => row.isNullAt(schema.fieldIndex(l)) || row.isNullAt(schema.fieldIndex(r))) })
+        val repairs = s.rewrites.collect { case ColumnRewrite(rhs, FdRepair(cases), _) if cases.nonEmpty => cases.map(c => (c.lhsCol, rhs)).distinct }
+        if (repairs.exists(_.size > 1)) twoLhs += 1
+        if (repairs.flatten.exists(p => !pairs.contains(p))) reversed += 1
+        if (repairs.flatten.exists { case (l, r) => rows.exists(row => row.isNullAt(schema.fieldIndex(l)) || row.isNullAt(schema.fieldIndex(r))) })
           nullSide += 1
-        val kept = after.pairs.keys.toSeq
-        if (kept.exists(p => after.pairs(p).values.sum < before.pairs(p).values.sum)) nulled += 1
-        if (kept.exists(p => after.pairs(p).size < before.pairs(p).size && after.pairs(p).values.sum == before.pairs(p).values.sum))
-          merged += 1
+        def nulls(t: TableProfile.Table) = t.collect { case (vs, n) if vs.contains(null) => n }.sum
+        val kept = after.tables.keys.toSeq
+        if (kept.exists(t => nulls(after.tables(t)) > nulls(before.tables(t)))) nulled += 1
+        if (kept.exists(t => after.tables(t).size < before.tables(t).size)) merged += 1
       }
     }
-    info(s"$carried carried, $nulled nulled, $merged merged, $reversed reversed, $nullSide NULL side")
+    info(s"$carried carried, $nulled nulled, $merged merged, $twoLhs from two lhs, $reversed reversed, $nullSide NULL side")
     assert(carried >= 30, s"only $carried of 150 samples carried")
-    assert(nulled >= 5 && merged >= 5, s"only $nulled samples lost pair rows to NULL and $merged merged them")
-    assert(reversed >= 5 && nullSide >= 5, s"only $reversed samples repaired from a reversed pair and $nullSide over a NULL side")
+    assert(nulled >= 5 && merged >= 5, s"only $nulled samples gave a table's cell a NULL and $merged merged cells")
+    assert(twoLhs >= 5 && reversed >= 5 && nullSide >= 5,
+      s"only $twoLhs samples repaired from two lhs, $reversed from a reversed pair and $nullSide over a NULL side")
   }
 
   test("pair counts carry through a value map, a DMV null and a boolean cast") {
@@ -153,28 +170,29 @@ class ProfileCarrySpec extends SparkSpec {
       ColumnRewrite("city", MapValues(Seq("Bostn" -> "Boston")), "typo"),
       ColumnRewrite("open", MapValues(Seq("yes" -> "True", "Y" -> "True", "no" -> "False", "n" -> "False")), "bool"),
     ))
-    val carried = carryChecked(df, TableProfile.of(df, pairs), s).get
+    val carried = carryChecked(df, pairs, s).get
     // Bostn merged into Boston; "yes" and "Y" into "True".
     assert(carried.joint("city", "state") == Map(("Boston", "MA") -> 3L, ("N/A", "CA") -> 1L, ("Reno", "NV") -> 1L))
     assert(carried.joint("open", "city") == Map(("True", "Boston") -> 3L, ("False", "N/A") -> 1L, ("False", "Reno") -> 2L))
     val dmv = CleaningStep("dmv", Seq(ColumnRewrite("city", MapToNull(Seq("N/A")), "dmv")))
     val applied = CleaningStep.apply(df, s)
-    val nulled = carryChecked(applied, carried, dmv).get
-    // Row 4 loses its city: it leaves every pair with the city.
+    val nulled = carryChecked(applied, carried, pairs, dmv).get
+    // Row 4's city becomes NULL: the tables keep the row, and the joint counts leave it out.
+    assert(nulled.table(Seq("city", "state")).get(Seq(null, "CA")) == 1L)
     assert(nulled.joint("city", "state") == Map(("Boston", "MA") -> 3L, ("Reno", "NV") -> 1L))
     assert(nulled.joint("open", "city") == Map(("True", "Boston") -> 3L, ("False", "Reno") -> 2L))
     assert(nulled.joint("state", "open") == carried.joint("state", "open"))
-    // An FD repair drops its column's pairs and keeps the others.
+    // An FD repair drops the tables holding its column and keeps the others.
     val fd = CleaningStep("fd", Seq(ColumnRewrite("state", FdRepair(Seq(FdCase("city", "Reno", "NV", "CA"))), "fd")))
-    val repaired = carryChecked(CleaningStep.apply(applied, dmv), nulled, fd).get
-    assert(repaired.pairs.keySet == Set("open" -> "city"))
+    val repaired = carryChecked(CleaningStep.apply(applied, dmv), nulled, pairs, fd).get
+    assert(repaired.tables.keySet == Set(Seq("open", "city")))
   }
 
   test("the carry is undefined where it cannot be exact") {
     import spark.implicits._
-    val df = Seq((1L, "z1", "x1", "Boston"), (2L, "z1", "x1", "Dothan"), (3L, "z2", "x2", "Reno"))
-      .toDF("row_id", "zip", "phone", "city")
-    val p = TableProfile.of(df, Seq("zip" -> "city"))
+    val df = Seq((1L, "z1", "x1", "AL", "Boston"), (2L, "z1", "x1", "AL", "Dothan"), (3L, "z2", "x2", "NV", "Reno"))
+      .toDF("row_id", "zip", "phone", "state", "city")
+    val p = TableProfile.of(df, Seq("zip" -> "city", "phone" -> "city"))
     def after(p: TableProfile, s: CleaningStep) = ProfileCarry.after(p, s, CleaningStep.apply(df, s))
     def step(rws: (String, Rewrite)*) = CleaningStep("s", rws.map { case (c, rw) => ColumnRewrite(c, rw, "r") })
     def carry(rws: (String, Rewrite)*) = after(p, step(rws: _*))
@@ -185,11 +203,11 @@ class ProfileCarrySpec extends SparkSpec {
     val reno = step("city" -> MapToNull(Seq("Reno")))
     // A plan that is not the step's Project over the column is never guessed at.
     assert(ProfileCarry.after(p, reno, CleaningStep.apply(df, reno).filter("row_id > 0")).isEmpty, "not a Project")
-    assert(ProfileCarry.after(p, reno, df.selectExpr("row_id", "zip", "phone", "upper(zip) AS city")).isEmpty, "not from the column")
+    assert(ProfileCarry.after(p, reno, df.selectExpr("row_id", "zip", "phone", "state", "upper(zip) AS city")).isEmpty, "not from the column")
     assert(ProfileCarry.after(p, reno, df).isEmpty, "the input's own plan")
-    // A repair from two lhs columns, and one from a pair the profile did not count.
-    assert(carry("city" -> FdRepair(Seq(FdCase("zip", "z1", "Boston", "Dothan"), FdCase("phone", "x1", "Boston", "Reno")))).isEmpty)
-    assert(carry("city" -> FdRepair(Seq(FdCase("phone", "x1", "Boston", "Reno")))).isEmpty, "uncounted pair")
+    // A repair from a pair the profile did not count; one from two lhs columns is carried.
+    assert(carry("city" -> FdRepair(Seq(FdCase("state", "AL", "Boston", "Reno")))).isEmpty, "uncounted pair")
+    assert(carry("city" -> FdRepair(Seq(FdCase("zip", "z1", "Boston", "Dothan"), FdCase("phone", "x1", "Boston", "Reno")))).isDefined)
     assert(carry("city" -> FdRepair(Seq(FdCase("zip", "z1", "Boston", "Dothan")))).isDefined)
     assert(carry("city" -> MapValues(Seq("Reno" -> "Dothan"))).isDefined)
   }
@@ -202,10 +220,10 @@ class ProfileCarrySpec extends SparkSpec {
       val fdPairs = FunctionalDeps.meaningfulPairs(CleaningStep.stringColumns(ds.dirty, Set(ds.keyCol)), new SimulatedLLM())
       var df = ds.dirty
       val carried = result.steps.map { s =>
-        val c = carryChecked(df, TableProfile.of(df, fdPairs), s)
+        val c = carryChecked(df, fdPairs, s)
         df = CleaningStep.apply(df, s).localCheckpoint()
         s.issue -> c.isDefined
       }
-      if (name == "flights") assert(carried.forall(_._2), s"flights steps not carried: $carried")
+      if (Set("hospital", "flights")(name)) assert(carried.forall(_._2), s"$name steps not carried: $carried")
     }
 }

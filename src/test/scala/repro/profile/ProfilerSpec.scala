@@ -208,8 +208,9 @@ class ProfilerSpec extends SparkSpec {
     val d = Seq(("a", "1", "x"), ("a", "2", "x"), ("b", "3", "y")).toDF("l", "r", "s")
     val pairs = Seq("l" -> "r", "l" -> "s", "s" -> "l", "r" -> "s")
     val p = TableProfile.of(d, pairs)
-    // One count serves both directions of a pair.
-    assert(p.pairs.keySet == Set("l" -> "r", "l" -> "s", "r" -> "s"))
+    // One table serves both directions of a pair, and every pair of its
+    // columns: s's table holds l's and r's, which are not counted apart.
+    assert(p.tables.keySet == Set(Seq("l", "r", "s")))
     assert(p.joint("s", "l") == Map(("x", "a") -> 2L, ("y", "b") -> 1L))
     val (fds, jobs) = countingJobs(Profiler.scoreFds(p, pairs, 10))
     assert(jobs == 0 && fds.size == 4)
@@ -221,9 +222,12 @@ class ProfilerSpec extends SparkSpec {
     assert(e.getMessage.contains("l and s"))
   }
 
-  test("the profile counts a pair's values only where neither side is NULL, and leaves the columns as they were") {
+  test("a counted table keeps its NULL cells, a pair's joint counts leave them out, and the columns stay as they were") {
     val d = Seq[(String, String)](("a", "1"), ("a", null), (null, "1"), (null, null), ("b", "2"), ("a", "1")).toDF("l", "r")
     val p = TableProfile.of(d, Seq("l" -> "r"))
+    assert(p.tables == Map(Seq("l", "r") -> Map(
+      Seq("a", "1") -> 2L, Seq("a", null) -> 1L, Seq(null, "1") -> 1L, Seq(null, null) -> 1L, Seq("b", "2") -> 1L)))
+    assert(p.table(Seq("r", "l")).get(Seq("1", null)) == 1L)
     assert(p.joint("l", "r") == Map(("a", "1") -> 2L, ("b", "2") -> 1L))
     assert(p.columns == TableProfile.of(d).columns && p.rowCount == 6)
   }
