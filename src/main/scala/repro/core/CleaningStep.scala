@@ -7,7 +7,7 @@ import org.apache.spark.sql.catalyst.expressions.Literal
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.types.{DataType, DoubleType, MapType, StringType}
 import repro.util.SqlGen
-import repro.util.SqlGen.Dialect
+import repro.util.SqlGen.{lit, Dialect}
 
 /** How one column is rewritten by a cleaning step. All of Cocoon's cleaning
   * actions (paper §2.1) reduce to these four SQL-expressible forms, which is
@@ -85,23 +85,31 @@ object CleaningStep {
     df.schema.fields.filter(f => f.dataType == StringType && !exclude(f.name)).map(_.name).toSeq
 
   /** Render a rewrite as a SQL expression in dialect `d`: Spark runs it, and
-    * the DuckDB oracle re-runs the same logical SQL in its own spelling.
+    * the DuckDB oracle re-runs the same logical SQL in its own spelling. A
+    * rewrite with nothing to rewrite is the bare column. Each map is one
+    * literal, so the generated code does not grow with its entries.
     */
-  def renderExpr(col: String, rw: Rewrite, d: Dialect): String = rw match {
-    case MapValues(m)       => SqlGen.mapLookup(col, m, d)
-    case MapToNull(vs)      => SqlGen.caseWhenNull(col, vs, d)
-    case RangeClamp(lo, hi) => SqlGen.caseWhenRange(col, lo, hi, d)
-    case FdRepair(cases) =>
-      if (cases.isEmpty) d.ident(col)
-      else {
+  def renderExpr(col: String, rw: Rewrite, d: Dialect): String = {
+    val c = d.ident(col)
+    rw match {
+      case MapValues(m) if m.nonEmpty =>
+        s"COALESCE(${d.lookup(d.map(m.map { case (bad, good) => lit(bad) -> lit(good) }), c)}, $c)"
+      case MapToNull(vs) if vs.nonEmpty => s"CASE WHEN $c IN (${vs.map(lit).mkString(", ")}) THEN NULL ELSE $c END"
+      case RangeClamp(lo, hi) if lo.nonEmpty || hi.nonEmpty =>
+        // TRY_CAST: tolerant of residual non-numeric strings on both Spark
+        // (ANSI mode) and DuckDB.
+        val conds = lo.map(v => s"TRY_CAST($c AS DOUBLE) < $v") ++ hi.map(v => s"TRY_CAST($c AS DOUBLE) > $v")
+        s"CASE WHEN ${conds.mkString(" OR ")} THEN NULL ELSE $c END"
+      case FdRepair(cases) if cases.nonEmpty =>
         val groups = inOrder(cases)(_.lhsCol).map { case (lhs, byLhs) =>
           val byVal = inOrder(byLhs)(_.lhsVal).map { case (lhsVal, arms) =>
-            SqlGen.lit(lhsVal) -> d.map(arms.map(c => SqlGen.lit(c.badRhs) -> SqlGen.lit(c.target)))
+            lit(lhsVal) -> d.map(arms.map(a => lit(a.badRhs) -> lit(a.target)))
           }
-          d.lookup(d.lookup(d.map(byVal), d.ident(lhs)), d.ident(col))
+          d.lookup(d.lookup(d.map(byVal), d.ident(lhs)), c)
         }
-        s"COALESCE(${(groups :+ d.ident(col)).mkString(", ")})"
-      }
+        s"COALESCE(${(groups :+ c).mkString(", ")})"
+      case _ => c
+    }
   }
 
   /** `xs` grouped by `key`, the groups and their members in `xs`'s order. */

@@ -38,21 +38,21 @@ final case class CocoonResult(cleaned: DataFrame, steps: Seq[CleaningStep]) {
   *
   * Each stage's detection runs against the *output* of the previous stage, so
   * e.g. FD grouping sees typo-fixed values — the reason the order matters.
-  * Stages share one [[TableProfile]] per table state, covering every column,
-  * the key too (a key that is still distinct proves the table has no
-  * duplicate rows). The FD gate reads only column names, so a run asks it
-  * first, and the profile also counts, for each FD target of the pairs it
-  * accepts, the table of its lhs columns' and its own values, from which
-  * the FD stage scores with no query. A run profiles its input once; each
-  * stage then decides, applies its step and carries the profile, tables
-  * included, on the driver through the plan the step was applied as, with
-  * no query ([[ProfileCarry]]). The table is profiled again only where the
-  * carry cannot be exact (after a row action) and a later stage reads the
-  * profile, and counts the tables again only while the FD stage is ahead.
-  * The applied steps are chained as one plan over the input, as the script
-  * chains its CTEs; only the profile builds and the duplicate-row count
-  * start Spark jobs, and no SQL text is parsed. `spark` is not read: the
-  * plan is built on `input`'s session.
+  * The eight stages are one list, in paper order, and each sees the table
+  * and one [[TableProfile]] of its state, covering every column, the key too
+  * (a key that is still distinct proves the table has no duplicate rows).
+  * The FD gate reads only column names, so a run asks it first, and every
+  * profile also counts, for each FD target of the pairs it accepts, the
+  * table of its lhs columns' and its own values, from which the FD stage
+  * scores with no query. A run profiles its input once; each stage then
+  * decides, applies its step and carries the profile, tables included, on
+  * the driver through the plan the step was applied as, with no query
+  * ([[ProfileCarry]]). The table is profiled again only where the carry
+  * cannot be exact (after a row action, or a rewrite of a non-string column)
+  * and a later stage reads the profile. The applied steps are chained as one
+  * plan over the input, as the script chains its CTEs; only the profile
+  * builds and the duplicate-row count start Spark jobs, and no SQL text is
+  * parsed. `spark` is not read: the plan is built on `input`'s session.
   */
 object CocoonPipeline {
 
@@ -68,29 +68,22 @@ object CocoonPipeline {
     val strings = CleaningStep.stringColumns(input, Set(cfg.keyCol))
     // The FD gate reads only column names: asked once, before any profile.
     val fdPairs = FunctionalDeps.meaningfulPairs(strings, llm)
-    val valueStages: Seq[TableProfile => CleaningStep] = Seq(
-      StringOutliers.step(strings, _, llm),
-      PatternOutliers.step(strings, _, llm),
-      Dmv.step(strings, _, llm),
-      ColumnType.step(strings, _, llm),
-      NumericOutliers.step(data, _, llm),
-      FunctionalDeps.step(fdPairs, _, llm),
-    )
-    val rowStages: Seq[(DataFrame, TableProfile) => CleaningStep] = Seq(
+    val stages: Seq[(DataFrame, TableProfile) => CleaningStep] = Seq(
+      (_, p) => StringOutliers.step(strings, p, llm),
+      (_, p) => PatternOutliers.step(strings, p, llm),
+      (_, p) => Dmv.step(strings, p, llm),
+      (_, p) => ColumnType.step(strings, p, llm),
+      (_, p) => NumericOutliers.step(data, p, llm),
+      (_, p) => FunctionalDeps.step(fdPairs, p, llm),
       Duplication.step(_, _, llm, cfg.tableDesc),
       (_, p) => Uniqueness.step(columns, p, llm, Some(cfg.keyCol).filter(columns.contains)),
     )
-    // Each stage with the pairs whose tables a profile built for it counts:
-    // the FD pairs up to the FD stage, none after it.
-    val stages =
-      valueStages.map(s => fdPairs -> ((_: DataFrame, p: TableProfile) => s(p))) ++
-        rowStages.map(Seq.empty[(String, String)] -> _)
 
     var df      = input
     var profile = Option.empty[TableProfile] // None: not yet built for this table state
     var steps   = Vector.empty[CleaningStep]
-    for ((pairs, stage) <- stages) {
-      val p = profile.getOrElse(TableProfile.of(df, pairs))
+    for (stage <- stages) {
+      val p = profile.getOrElse(TableProfile.of(df, fdPairs))
       profile = Some(p)
       val step = stage(df, p)
       if (!step.isNoop) {

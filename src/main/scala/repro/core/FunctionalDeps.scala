@@ -1,7 +1,24 @@
 package repro.core
 
 import repro.llm.LLMClient
-import repro.profile.{Profiler, TableProfile}
+import repro.profile.{TableProfile, ValueCount}
+
+/** A scored single-attribute FD candidate lhs → rhs (§2.1.6, after Baran).
+  * `strength` is the share of rows (with both sides non-null) agreeing with
+  * their lhs group's plurality rhs value — 1.0 means the FD holds exactly,
+  * and a few corrupted cells per group only dent it proportionally (an
+  * entropy-style measure, after [Beskales et al.]). `violatingGroups` counts
+  * lhs groups with more than one rhs value; `groups` lists the largest of
+  * them (by size, ties by lhs value, as [[ValueCount.ranked]] orders them),
+  * in lhs order, each with its rhs values in [[ValueCount.ranked]] order.
+  */
+final case class FdScore(
+    lhs: String,
+    rhs: String,
+    strength: Double,
+    violatingGroups: Long,
+    groups: Seq[(String, Seq[ValueCount])],
+)
 
 /** §2.1.6 Functional Dependencies.
   *
@@ -9,11 +26,11 @@ import repro.profile.{Profiler, TableProfile}
   * which pairs are semantically meaningful FDs (by what the columns denote,
   * so once per run, up front); statistical detection scores those pairs by
   * the fraction of rows consistent with the FD, from the joint counts the
-  * table profile took, with no query; for each violating group the LLM
-  * resolves the correct value — or declines when the group has no confident
-  * majority (the paper's Flights discussion: ambiguous groups are preserved
-  * rather than guessed). Cleaning is a map lookup on the lhs, then on the
-  * rhs ([[FdRepair]]).
+  * table profile took, with no query ([[scoreFds]]); for each violating
+  * group the LLM resolves the correct value — or declines when the group has
+  * no confident majority (the paper's Flights discussion: ambiguous groups
+  * are preserved rather than guessed). Cleaning is a map lookup on the lhs,
+  * then on the rhs ([[FdRepair]]).
   */
 object FunctionalDeps {
 
@@ -50,8 +67,7 @@ object FunctionalDeps {
       profile(lhs).distinctCount > 1 && profile(lhs).distinctCount < rows * 0.9
     }
 
-    val accepted = Profiler
-      .scoreFds(profile, candidatePairs, MaxGroups)
+    val accepted = scoreFds(profile, candidatePairs, MaxGroups)
       .filter(fd => fd.strength >= MinStrength && fd.violatingGroups > 0)
 
     val casesByRhs: Map[String, Seq[FdCase]] = accepted
@@ -87,4 +103,25 @@ object FunctionalDeps {
     }
     CleaningStep("functional-deps", rewrites)
   }
+
+  /** Score every (lhs, rhs) pair from the joint counts the profile took —
+    * the single-attribute partition refinement of TANE [Huhtala et al.] —
+    * keeping up to `maxGroups` violating groups per pair. Returns one
+    * [[FdScore]] per pair, in order, and runs no query: a table the profile
+    * counted must hold every pair ([[TableProfile.joint]]).
+    */
+  def scoreFds(profile: TableProfile, pairs: Seq[(String, String)], maxGroups: Int): Seq[FdScore] =
+    pairs.map { case (lhs, rhs) =>
+      // Each lhs group's rhs values, most frequent first: the head is its plurality.
+      val groups = profile.joint(lhs, rhs).toSeq
+        .groupMap(_._1._1) { case ((_, rv), n) => ValueCount(rv, n) }
+        .map { case (lv, vs) => lv -> vs.sorted(ValueCount.ranked) }
+      val total = groups.values.map(_.map(_.count).sum).sum
+      val agree = groups.values.map(_.head.count).sum
+      val violating = groups.filter(_._2.size > 1)
+      // The largest violating groups, size ties by lhs value, listed in lhs order.
+      val kept = violating.map { case (lv, vs) => ValueCount(lv, vs.map(_.count).sum) }.toSeq.sorted(ValueCount.ranked).take(maxGroups)
+      val strength = if (total == 0) 0.0 else agree.toDouble / total
+      FdScore(lhs, rhs, strength, violating.size.toLong, kept.map(_.value).sorted.map(lv => lv -> groups(lv)))
+    }
 }

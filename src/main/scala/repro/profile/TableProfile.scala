@@ -7,7 +7,7 @@ import org.apache.spark.sql.{Column, DataFrame, functions => F}
 import org.apache.spark.sql.catalyst.InternalRow
 import org.apache.spark.sql.catalyst.expressions.{BoundReference, Cast, EvalMode}
 import org.apache.spark.sql.execution.SQLExecution
-import org.apache.spark.sql.types.{ByteType, DataType, DoubleType, IntegerType, LongType, ShortType, StringType, StructField}
+import org.apache.spark.sql.types.{DoubleType, StringType, StructField}
 import org.apache.spark.unsafe.types.UTF8String
 import repro.profile.ColumnProfile.Numbers
 import repro.util.SqlGen
@@ -263,74 +263,4 @@ object TableProfile {
 
   /** A column by its name, quoted: a name may hold a backtick, a dot or a space. */
   private def column(name: String): Column = F.col(SqlGen.ident(name))
-}
-
-/** A scored single-attribute FD candidate lhs → rhs (§2.1.6, after Baran).
-  * `strength` is the share of rows (with both sides non-null) agreeing with
-  * their lhs group's plurality rhs value — 1.0 means the FD holds exactly,
-  * and a few corrupted cells per group only dent it proportionally (an
-  * entropy-style measure, after [Beskales et al.]). `violatingGroups` counts
-  * lhs groups with more than one rhs value; `groups` lists the largest of
-  * them (by size, ties by lhs value, as [[ValueCount.ranked]] orders them),
-  * in lhs order, each with its rhs values in [[ValueCount.ranked]] order.
-  */
-final case class FdScore(
-    lhs: String,
-    rhs: String,
-    strength: Double,
-    violatingGroups: Long,
-    groups: Seq[(String, Seq[ValueCount])],
-)
-
-/** Statistical error-detection substrate beyond the [[TableProfile]].
-  *
-  * FD scores rank the joint counts the profile took, with no query; the
-  * duplicate-row count is one Spark aggregation at most. This is the
-  * "statistical detection" half of every Cocoon issue pipeline; the semantic
-  * half consumes these summaries via the simulated LLM.
-  */
-object Profiler {
-
-  /** Number of fully duplicated rows beyond the first occurrence (§2.1.7).
-    * It is 0, with no Spark job, when the profile shows a column whose values
-    * are pairwise distinct (at most one null); otherwise one `DISTINCT` count
-    * over the table coalesced into one partition: one job, no exchange.
-    */
-  def duplicateRowCount(df: DataFrame, profile: TableProfile): Long = {
-    val distinctColumn = df.schema.fields.exists { f =>
-      comparesAsText(f.dataType) && profile.columns.get(f.name).exists { p =>
-        p.distinctCount + (if (p.nullCount > 0) 1 else 0) == p.rowCount
-      }
-    }
-    if (distinctColumn) 0L else profile.rowCount - df.coalesce(1).distinct().count()
-  }
-
-  /** Types whose profiled text is equal exactly when `DISTINCT` finds the
-    * values equal. Not floating point (`-0.0` and `0.0` print apart but
-    * compare equal), not collated strings, not nested types (their text is
-    * ambiguous).
-    */
-  private def comparesAsText(t: DataType): Boolean =
-    t == StringType || Seq(ByteType, ShortType, IntegerType, LongType).contains(t)
-
-  /** Score every (lhs, rhs) pair from the joint counts the profile took —
-    * the single-attribute partition refinement of TANE [Huhtala et al.] —
-    * keeping up to `maxGroups` violating groups per pair. Returns one
-    * [[FdScore]] per pair, in order, and runs no query: a table the profile
-    * counted must hold every pair ([[TableProfile.joint]]).
-    */
-  def scoreFds(profile: TableProfile, pairs: Seq[(String, String)], maxGroups: Int): Seq[FdScore] =
-    pairs.map { case (lhs, rhs) =>
-      // Each lhs group's rhs values, most frequent first: the head is its plurality.
-      val groups = profile.joint(lhs, rhs).toSeq
-        .groupMap(_._1._1) { case ((_, rv), n) => ValueCount(rv, n) }
-        .map { case (lv, vs) => lv -> vs.sorted(ValueCount.ranked) }
-      val total = groups.values.map(_.map(_.count).sum).sum
-      val agree = groups.values.map(_.head.count).sum
-      val violating = groups.filter(_._2.size > 1)
-      // The largest violating groups, size ties by lhs value, listed in lhs order.
-      val kept = violating.map { case (lv, vs) => ValueCount(lv, vs.map(_.count).sum) }.toSeq.sorted(ValueCount.ranked).take(maxGroups)
-      val strength = if (total == 0) 0.0 else agree.toDouble / total
-      FdScore(lhs, rhs, strength, violating.size.toLong, kept.map(_.value).sorted.map(lv => lv -> groups(lv)))
-    }
 }

@@ -3,8 +3,8 @@ package repro.util
 /** Helpers for generating the SQL text Cocoon emits.
   *
   * Cocoon's output artifact is a set of well-commented SQL queries (paper
-  * §2.2, Figure 5). Every cleaning module builds map-lookup / `CASE WHEN` /
-  * `TRY_CAST` expressions as strings; this object centralises quoting so
+  * §2.2, Figure 5). `CleaningStep.renderExpr` renders each rewrite beside
+  * the Catalyst column it is applied as; this object centralises quoting so
   * generated SQL is injection-safe, and [[SqlGen.Dialect]] holds what Spark
   * SQL and DuckDB (the correctness oracle) spell differently.
   */
@@ -49,36 +49,6 @@ object SqlGen {
         entries.map { case (k, v) => s"$k: $v" }.mkString("MAP {", ", ", "}")
       def lookup(map: String, key: String): String = s"element_at($map, $key)[1]"
     }
-  }
-
-  /** `COALESCE(lookup(map('bad', 'good', …), col), col)`: each value of `col`
-    * found in `mapping` becomes its target, every other value (NULL too)
-    * stays. The map is one literal, so the expression's generated code does
-    * not grow with the number of entries. Keys must be distinct and no key or
-    * target NULL. Returns the bare column when the mapping is empty.
-    */
-  def mapLookup(col: String, mapping: Seq[(String, String)], d: Dialect): String =
-    if (mapping.isEmpty) d.ident(col)
-    else {
-      val map = d.map(mapping.map { case (bad, good) => lit(bad) -> lit(good) })
-      s"COALESCE(${d.lookup(map, d.ident(col))}, ${d.ident(col)})"
-    }
-
-  /** Build `CASE WHEN col IN (...) THEN NULL ELSE col END` for DMV cleaning. */
-  def caseWhenNull(col: String, bad: Seq[String], d: Dialect): String =
-    if (bad.isEmpty) d.ident(col)
-    else s"CASE WHEN ${d.ident(col)} IN (${bad.map(lit).mkString(", ")}) THEN NULL ELSE ${d.ident(col)} END"
-
-  /** Threshold clamp used by numeric-outlier cleaning (§2.1.5): values
-    * outside [lo, hi] are nulled (the paper thresholds via CASE WHEN).
-    */
-  def caseWhenRange(col: String, lo: Option[Double], hi: Option[Double], d: Dialect): String = {
-    // TRY_CAST: tolerant of residual non-numeric strings on both Spark
-    // (ANSI mode) and DuckDB.
-    val conds = lo.map(v => s"TRY_CAST(${d.ident(col)} AS DOUBLE) < $v").toSeq ++
-      hi.map(v => s"TRY_CAST(${d.ident(col)} AS DOUBLE) > $v").toSeq
-    if (conds.isEmpty) d.ident(col)
-    else s"CASE WHEN ${conds.mkString(" OR ")} THEN NULL ELSE ${d.ident(col)} END"
   }
 
   /** One-line SQL comment carrying the LLM reasoning (Figure 5 style). */

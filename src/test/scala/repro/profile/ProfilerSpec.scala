@@ -10,6 +10,7 @@ import org.apache.spark.sql.execution.window.WindowExec
 import org.apache.spark.unsafe.types.UTF8String
 import repro.SparkSpec
 import repro.JobCounting._
+import repro.core.{Duplication, FdScore, FunctionalDeps}
 
 class ProfilerSpec extends SparkSpec {
   import spark.implicits._
@@ -24,7 +25,7 @@ class ProfilerSpec extends SparkSpec {
 
   /** Score `pairs` of `d` from a profile that counted them. */
   private def scoreFds(d: DataFrame, pairs: Seq[(String, String)], maxGroups: Int): Seq[FdScore] =
-    Profiler.scoreFds(TableProfile.of(d, pairs), pairs, maxGroups)
+    FunctionalDeps.scoreFds(TableProfile.of(d, pairs), pairs, maxGroups)
 
   private def scoreFd(d: DataFrame, maxGroups: Int = 500): FdScore = scoreFds(d, Seq("l" -> "r"), maxGroups).head
 
@@ -149,14 +150,14 @@ class ProfilerSpec extends SparkSpec {
 
   test("duplicateRowCount counts beyond-first duplicates") {
     val d = Seq(("a", 1), ("a", 1), ("a", 1), ("b", 2)).toDF("x", "y")
-    assert(Profiler.duplicateRowCount(d, TableProfile.of(d)) == 2)
-    assert(Profiler.duplicateRowCount(d.distinct(), TableProfile.of(d.distinct())) == 0)
+    assert(Duplication.duplicateRowCount(d, TableProfile.of(d)) == 2)
+    assert(Duplication.duplicateRowCount(d.distinct(), TableProfile.of(d.distinct())) == 0)
   }
 
   /** `duplicateRowCount` of `d` and the Spark jobs it starts, given the profile. */
   private def duplicates(d: DataFrame): (Long, Long) = {
     val p = TableProfile.of(d)
-    countingJobs(Profiler.duplicateRowCount(d, p))
+    countingJobs(Duplication.duplicateRowCount(d, p))
   }
 
   test("duplicateRowCount starts no job when an integral or string column is all distinct") {
@@ -179,8 +180,8 @@ class ProfilerSpec extends SparkSpec {
   test("duplicateRowCount's DISTINCT count starts one job") {
     val d = spark.createDataFrame(spark.sparkContext.parallelize(Seq(("a", 1), ("a", 1), ("b", 1), ("b", 2)), 4)).toDF("x", "y")
     val p = TableProfile.of(d)
-    assert(jobsAndExchanges(Profiler.duplicateRowCount(d, p)) == (1L, 0L))
-    assert(Profiler.duplicateRowCount(d, p) == 1)
+    assert(jobsAndExchanges(Duplication.duplicateRowCount(d, p)) == (1L, 0L))
+    assert(Duplication.duplicateRowCount(d, p) == 1)
   }
 
   test("scoreFd gives 1.0 on an exact FD") {
@@ -212,13 +213,13 @@ class ProfilerSpec extends SparkSpec {
     // columns: s's table holds l's and r's, which are not counted apart.
     assert(p.tables.keySet == Set(Seq("l", "r", "s")))
     assert(p.joint("s", "l") == Map(("x", "a") -> 2L, ("y", "b") -> 1L))
-    val (fds, jobs) = countingJobs(Profiler.scoreFds(p, pairs, 10))
+    val (fds, jobs) = countingJobs(FunctionalDeps.scoreFds(p, pairs, 10))
     assert(jobs == 0 && fds.size == 4)
   }
 
   test("scoreFds fails on a pair the profile did not count") {
     val d = Seq(("a", "1", "x")).toDF("l", "r", "s")
-    val e = intercept[NoSuchElementException](Profiler.scoreFds(TableProfile.of(d, Seq("l" -> "r")), Seq("l" -> "s"), 10))
+    val e = intercept[NoSuchElementException](FunctionalDeps.scoreFds(TableProfile.of(d, Seq("l" -> "r")), Seq("l" -> "s"), 10))
     assert(e.getMessage.contains("l and s"))
   }
 

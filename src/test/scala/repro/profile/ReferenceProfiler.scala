@@ -5,8 +5,9 @@ import org.apache.spark.sql.catalyst.expressions.Cast
 import org.apache.spark.sql.types.DoubleType
 
 /** The per-column and per-pair queries that [[TableProfile]] and
-  * [[Profiler.scoreFds]] replace, kept as the reference they must agree with.
-  * Each is a separate Spark query per column or per FD pair.
+  * [[repro.core.FunctionalDeps.scoreFds]] replace, kept as the reference
+  * they must agree with. Each is a separate Spark query per column or per
+  * FD pair.
   */
 object ReferenceProfiler {
 

@@ -10,9 +10,10 @@ import org.apache.spark.sql.types.{
 }
 import org.scalacheck.Gen
 import repro.{Seeded, SparkSpec}
+import repro.core.FunctionalDeps
 
-/** The one-pass [[TableProfile]], and [[Profiler.scoreFds]] over the pairs it
-  * counted, agree exactly with the per-column and per-pair queries they
+/** The one-pass [[TableProfile]], and [[FunctionalDeps.scoreFds]] over the
+  * pairs it counted, agree exactly with the per-column and per-pair queries they
   * replace ([[ReferenceProfiler]]), each column's ranked values against
   * Spark's `ORDER BY n DESC, v ASC` included, on small random tables with
   * nulls, numeric and non-numeric strings, quoted values, values whose
@@ -137,7 +138,7 @@ class TableProfilePropertiesSpec extends SparkSpec {
     Seeded.forAll(gen, n = 15) { case (rows, parts, cap) =>
       if (tieCaps(violatingSizes(rows, "word", "mixed")).contains(cap)) straddled += 1
       val df = spark.createDataFrame(spark.sparkContext.parallelize(rows, parts), schema)
-      val fds = Profiler.scoreFds(TableProfile.of(df, pairs), pairs, maxGroups = cap)
+      val fds = FunctionalDeps.scoreFds(TableProfile.of(df, pairs), pairs, maxGroups = cap)
       for (((lhs, rhs), fd) <- pairs.zip(fds)) {
         assert((fd.lhs, fd.rhs) == (lhs, rhs))
         assert((fd.strength, fd.violatingGroups) == ReferenceProfiler.scoreFd(df, lhs, rhs), s"$lhs → $rhs of $rows")

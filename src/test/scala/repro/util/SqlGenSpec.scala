@@ -1,6 +1,7 @@
 package repro.util
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.{CleaningStep, MapToNull, MapValues, RangeClamp}
 import repro.util.SqlGen.Dialect
 
 class SqlGenSpec extends AnyFunSuite {
@@ -14,38 +15,38 @@ class SqlGenSpec extends AnyFunSuite {
   test("identAnsi escapes double quotes") { assert(SqlGen.identAnsi("a\"b") == "\"a\"\"b\"") }
 
   test("mapLookup with empty mapping is the bare column") {
-    assert(SqlGen.mapLookup("c", Seq.empty, Dialect.Spark) == "`c`")
-    assert(SqlGen.mapLookup("c", Seq.empty, Dialect.DuckDb) == "\"c\"")
+    assert(CleaningStep.renderExpr("c", MapValues(Seq.empty), Dialect.Spark) == "`c`")
+    assert(CleaningStep.renderExpr("c", MapValues(Seq.empty), Dialect.DuckDb) == "\"c\"")
   }
   test("mapLookup renders a COALESCE over a lookup in a Spark map literal") {
-    val sql = SqlGen.mapLookup("c", Seq("bad" -> "good"), Dialect.Spark)
+    val sql = CleaningStep.renderExpr("c", MapValues(Seq("bad" -> "good")), Dialect.Spark)
     assert(sql == "COALESCE(element_at(map('bad', 'good'), `c`), `c`)")
   }
   test("mapLookup keeps the mapping's order and quotes every value") {
-    val sql = SqlGen.mapLookup("c", Seq("a" -> "b", "O'Hare" -> "y"), Dialect.Spark)
+    val sql = CleaningStep.renderExpr("c", MapValues(Seq("a" -> "b", "O'Hare" -> "y")), Dialect.Spark)
     assert(sql == "COALESCE(element_at(map('a', 'b', 'O''Hare', 'y'), `c`), `c`)")
   }
   test("mapLookup renders DuckDB's MAP literal and list index") {
-    val sql = SqlGen.mapLookup("c", Seq("bad" -> "good", "x" -> "y"), Dialect.DuckDb)
+    val sql = CleaningStep.renderExpr("c", MapValues(Seq("bad" -> "good", "x" -> "y")), Dialect.DuckDb)
     assert(sql == "COALESCE(element_at(MAP {'bad': 'good', 'x': 'y'}, \"c\")[1], \"c\")")
   }
   test("caseWhenNull renders IN list") {
-    val sql = SqlGen.caseWhenNull("c", Seq("N/A", "-"), Dialect.Spark)
+    val sql = CleaningStep.renderExpr("c", MapToNull(Seq("N/A", "-")), Dialect.Spark)
     assert(sql == "CASE WHEN `c` IN ('N/A', '-') THEN NULL ELSE `c` END")
   }
   test("caseWhenNull with no values is the bare column") {
-    assert(SqlGen.caseWhenNull("c", Seq.empty, Dialect.Spark) == "`c`")
+    assert(CleaningStep.renderExpr("c", MapToNull(Seq.empty), Dialect.Spark) == "`c`")
   }
   test("caseWhenRange with both bounds") {
-    val sql = SqlGen.caseWhenRange("c", Some(0.0), Some(10.0), Dialect.Spark)
+    val sql = CleaningStep.renderExpr("c", RangeClamp(Some(0.0), Some(10.0)), Dialect.Spark)
     assert(sql.contains("< 0.0") && sql.contains("> 10.0") && sql.contains("THEN NULL"))
   }
   test("caseWhenRange with only an upper bound") {
-    val sql = SqlGen.caseWhenRange("c", None, Some(5.0), Dialect.Spark)
+    val sql = CleaningStep.renderExpr("c", RangeClamp(None, Some(5.0)), Dialect.Spark)
     assert(!sql.contains("<") && sql.contains("> 5.0"))
   }
   test("caseWhenRange with no bounds is the bare column") {
-    assert(SqlGen.caseWhenRange("c", None, None, Dialect.Spark) == "`c`")
+    assert(CleaningStep.renderExpr("c", RangeClamp(None, None), Dialect.Spark) == "`c`")
   }
   test("comment flattens newlines") {
     assert(SqlGen.comment("a\nb") == "-- a b")
