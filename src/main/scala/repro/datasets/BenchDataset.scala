@@ -30,6 +30,18 @@ final case class BenchDataset(
 
 object BenchDataset {
 
+  /** A table of the LONG key `keyCol`, holding `ids`, and the string
+    * `columns`, holding `cells` row by row, in 4 partitions: how a generated
+    * benchmark and a baseline's repaired snapshot become DataFrames.
+    */
+  def frame(spark: SparkSession, keyCol: String, ids: Array[Long], columns: Seq[String], cells: Array[Array[String]]): DataFrame = {
+    val schema = StructType(
+      StructField(keyCol, LongType, nullable = false) +: columns.map(StructField(_, StringType, nullable = true))
+    )
+    val rows = ids.indices.map(r => Row.fromSeq(ids(r) +: cells(r).toSeq))
+    spark.createDataFrame(spark.sparkContext.parallelize(rows, 4), schema)
+  }
+
   /** Column-major builder for a synthetic dirty/clean pair. Fill ground truth
     * with [[TableBuilder.setBoth]]; introduce an error with
     * [[TableBuilder.setCell]], which records the label, usually from inside
@@ -77,14 +89,7 @@ object BenchDataset {
     }
 
     def build(spark: SparkSession, name: String, fds: Seq[(String, String)]): BenchDataset = {
-      val schema = StructType(
-        StructField("row_id", LongType, nullable = false) +:
-          columns.map(c => StructField(c, StringType, nullable = true))
-      )
-      def df(arr: Array[Array[String]]): DataFrame = {
-        val rows = arr.zipWithIndex.map { case (r, i) => Row.fromSeq(i.toLong +: r.toSeq) }
-        spark.createDataFrame(spark.sparkContext.parallelize(rows.toIndexedSeq, 4), schema)
-      }
+      def df(arr: Array[Array[String]]): DataFrame = frame(spark, "row_id", Array.tabulate(n)(_.toLong), columns, arr)
       val labelSchema = StructType(Seq(
         StructField("row_id", LongType, nullable = false),
         StructField("column", StringType, nullable = false),

@@ -1,7 +1,6 @@
 package repro.eval
 
-import org.apache.spark.sql.{DataFrame, Row, SparkSession}
-import org.apache.spark.sql.types.{LongType, StringType, StructField, StructType}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.datasets.BenchDataset
 
 /** A cleaning system under evaluation: dirty table in, repaired table out,
@@ -26,13 +25,7 @@ final class LocalTable(val columns: Seq[String], val rowIds: Array[Long], val ce
   def value(r: Int, c: String): String = cells(r)(colIdx(c))
   def set(r: Int, c: String, v: String): Unit = cells(r)(colIdx(c)) = v
 
-  def toDf(spark: SparkSession, keyCol: String): DataFrame = {
-    val schema = StructType(
-      StructField(keyCol, LongType, nullable = false) +: columns.map(StructField(_, StringType, nullable = true))
-    )
-    val rows = rowIds.indices.map(r => Row.fromSeq(rowIds(r) +: cells(r).toSeq))
-    spark.createDataFrame(spark.sparkContext.parallelize(rows, 4), schema)
-  }
+  def toDf(spark: SparkSession, keyCol: String): DataFrame = BenchDataset.frame(spark, keyCol, rowIds, columns, cells)
 }
 
 object LocalTable {
