@@ -66,7 +66,8 @@ final case class DistinctRows(reasoning: String) extends RowAction
 
 /** One row per value of `key`: the first by `orderCol` descending, NULLs
   * last, ties to the lowest `rowKey`, so the survivor depends neither on the
-  * engine nor on how the input is partitioned (§2.1.8).
+  * engine nor on how the input is partitioned (§2.1.8). Every row whose key
+  * is NULL stays: as in SQL `UNIQUE`, no two NULL keys are equal.
   */
 final case class KeepFirstPerKey(key: String, orderCol: String, rowKey: Option[String], reasoning: String)
     extends RowAction
@@ -138,7 +139,7 @@ object CleaningStep {
         val by = (s"${quote(ord)} DESC NULLS LAST" +: rowKey.filterNot(_ == ord).map(quote).toSeq).mkString(", ")
         val rn = rowNumberName(allColumns)
         val ranked = s"SELECT *, ROW_NUMBER() OVER (PARTITION BY ${quote(key)} ORDER BY $by) AS $rn FROM $fromRelation"
-        (Some(why), "", s"(\n  $ranked\n) WHERE $rn = 1")
+        (Some(why), "", s"(\n  $ranked\n) WHERE $rn = 1 OR ${quote(key)} IS NULL")
     }
     val comments = (step.rewrites.map(r => s"${r.column}: ${r.reasoning}") ++ rowReasoning)
       .map(SqlGen.comment)
@@ -186,7 +187,7 @@ object CleaningStep {
         case KeepFirstPerKey(key, ord, rowKey, _) =>
           val rn = rowNumberName(columns)
           val by = col(ord).desc_nulls_last +: rowKey.filterNot(_ == ord).map(col(_).asc).toSeq
-          df.withColumn(rn, F.row_number().over(Window.partitionBy(col(key)).orderBy(by: _*))).filter(col(rn) === 1)
+          df.withColumn(rn, F.row_number().over(Window.partitionBy(col(key)).orderBy(by: _*))).filter(col(rn) === 1 || col(key).isNull)
         case _ => df
       }
       val selected = from.select(columns.map(c => byCol.get(c).fold(col(c))(rw => column(c, rw).as(c))): _*)

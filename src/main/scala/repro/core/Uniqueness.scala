@@ -5,11 +5,13 @@ import repro.profile.TableProfile
 
 /** §2.1.8 Column Uniqueness.
   *
-  * Statistical detection computes each column's unique ratio; the LLM decides
-  * whether the column should be unique semantically (primary-key-like names);
-  * cleaning keeps one row per key via a window function, prioritised by a
-  * column the LLM picks as carrying recency (e.g. the latest time), falling
-  * back to the first column for determinism.
+  * Statistical detection computes each column's unique ratio, its distinct
+  * values over its non-NULL rows; the LLM decides whether the column should
+  * be unique semantically (primary-key-like names); cleaning keeps one row
+  * per key via a window function, prioritised by a column the LLM picks as
+  * carrying recency (e.g. the latest time), falling back to the first column
+  * for determinism. As in SQL `UNIQUE`, NULL keys are never duplicates: a
+  * row whose key is NULL always stays ([[KeepFirstPerKey]]).
   */
 object Uniqueness {
 

@@ -59,7 +59,11 @@ final case class ColumnProfile(
   def rowCount: Long      = counts.values.sum
   def nullCount: Long     = counts.getOrElse(null, 0L)
   def distinctCount: Long = counts.size - (if (counts.contains(null)) 1 else 0)
-  def uniqueRatio: Double = if (rowCount == 0) 0.0 else distinctCount.toDouble / rowCount
+
+  /** Distinct values over non-NULL rows, 0 when every row is NULL: as in SQL
+    * `UNIQUE`, no two NULLs are equal, so a NULL repeats no value.
+    */
+  def uniqueRatio: Double = if (rowCount == nullCount) 0.0 else distinctCount.toDouble / (rowCount - nullCount)
 
   /** Every non-null value in [[ValueCount.ranked]] order, ranked when first
     * read: a column no stage lists, such as the key, is never sorted.

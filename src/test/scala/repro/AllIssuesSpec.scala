@@ -84,7 +84,7 @@ class AllIssuesSpec extends SparkSpec {
     val input = AllIssuesTable(spark)
     val ((res, jobs), fallbacks) = CodegenFallbacks.counting(countingJobs(CocoonPipeline.run(spark, input, new SimulatedLLM(), cfg)))
     assert(res.steps.map(_.issue) == Seq("dmv", "column-type", "numeric-outliers", "functional-deps", "duplication", "uniqueness"))
-    assert(Sha256(res.script) == "3b88f6217f418747e23d38e57a778bf1994531316f3ae10b7dc64a8312e633a8", res.script)
+    assert(Sha256(res.script) == "0b3d7704c42cf7dfc5b38a880de3ba5d79af47720d60196ed1f6c8f0a29c22c4", res.script)
     // The input's profile, the one before the FD stage (the clamp of `age`
     // is not carried), the DISTINCT count, and the profile after DISTINCT,
     // which runs its shuffle too.

@@ -2,7 +2,7 @@ package repro.core
 
 import java.sql.Date
 
-import repro.{Sha256, SparkSpec}
+import repro.{ScriptCheck, Sha256, SparkSpec}
 import repro.JobCounting.countingJobs
 import repro.llm.SimulatedLLM
 
@@ -162,12 +162,45 @@ class CocoonPipelineSpec extends SparkSpec {
     assert(res.steps.last.issue == "uniqueness")
     val cte = res.script.linesIterator.dropWhile(!_.contains("_uniqueness AS (")).toSeq
     assert(cte.lift(1).exists(_.startsWith("-- ")), res.script)
-    assert(Sha256(res.script) == "4a42fbeccf23b0dd32625a910486116ab52759e8ba7759f15251567bd2367c1f", res.script)
+    assert(Sha256(res.script) == "c071c60ec60f6ec11308c5272b1066a72ef72ea772ac946ee574f9b368a4e5ed", res.script)
     // The run profiles its input in 1 job: the distinct key rules out
     // duplicate rows, and no profile is built after the last stage. The
     // dedupe runs in the first read, with the window's shuffle, the count's
     // shuffle and its result: 3 jobs.
     assert(runJobs <= 1 && runJobs + readJobs <= 4, s"$runJobs + $readJobs Spark jobs")
+  }
+
+  test("uniqueness treats no two NULL ids as duplicates") {
+    // 97 distinct ids and 3 NULLs over 100 rows: no id repeats, so the
+    // stage does not fire and every row stays.
+    val rows = (0 until 100).map(i => (i.toLong, if (i % 33 == 32) null else f"c$i%04d", s"2020-01-${10 + i % 19}"))
+    val df  = rows.toDF("row_id", "customer_id", "updated_at")
+    val res = CocoonPipeline.run(spark, df, llm, CocoonConfig(keyCol = "row_id", tableDesc = "customers"))
+    assert(!res.steps.exists(_.issue == "uniqueness"), res.script)
+    assert(res.cleaned.count() == 100)
+    ScriptCheck.onSpark(res, df, res.cleaned, "NULL ids")
+    ScriptCheck.onDuckDb(res, df, res.cleaned)
+  }
+
+  test("uniqueness keeps one row per repeated id and every row whose id is NULL") {
+    // Row 57 repeats row 0's id with a later date; rows 58 and 59 have no id.
+    val rows = (0 until 60).map { i =>
+      val id = i match {
+        case 57      => "c0000"
+        case 58 | 59 => null
+        case _       => f"c$i%04d"
+      }
+      (i.toLong, id, if (i == 57) "2021-06-01" else s"2020-01-${10 + i % 19}")
+    }
+    val df  = rows.toDF("row_id", "customer_id", "updated_at")
+    val res = CocoonPipeline.run(spark, df, llm, CocoonConfig(keyCol = "row_id", tableDesc = "customers"))
+    assert(res.steps.map(_.issue) == Seq("uniqueness"), res.script)
+    val cleaned = res.cleaned.cache()
+    try {
+      assert(cleaned.select("row_id").as[Long].collect().sorted.toSeq == (1L to 59L))
+      ScriptCheck.onSpark(res, df, cleaned, "a repeated id and NULL ids")
+      ScriptCheck.onDuckDb(res, df, cleaned)
+    } finally cleaned.unpersist()
   }
 
   test("a run over a table with a DATE column leaves that column unchanged") {

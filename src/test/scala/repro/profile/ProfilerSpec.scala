@@ -78,7 +78,7 @@ class ProfilerSpec extends SparkSpec {
 
   // The name predates the removal of `nullRate`; it is kept as the test's id.
   test("nullRate and uniqueRatio derive correctly") {
-    assert(math.abs(profile("k").uniqueRatio - 2.0 / 7) < 1e-9)
+    assert(math.abs(profile("k").uniqueRatio - 2.0 / 6) < 1e-9)
   }
 
   test("every column is profiled") {
