@@ -8,7 +8,9 @@ import repro.profile.TableProfile
   * Statistical detection captures the column min/max; the LLM reviews the
   * semantically acceptable range for the column (by its meaning — an age
   * cannot be 999); cleaning thresholds via CASE WHEN, nulling values outside
-  * the range.
+  * the range. The observed min and max are compared as Spark's `<` and `>`
+  * compare doubles, which the clamp emits: NaN above every number, so a
+  * NaN is out of every range and hides no other value above it.
   */
 object NumericOutliers {
 
@@ -19,7 +21,7 @@ object NumericOutliers {
       else
         llm.reviewNumericRange(c, prof.minNumeric.get, prof.maxNumeric.get).map { case (lo, hi) =>
           val clampLo = Option.when(prof.minNumeric.get < lo)(lo)
-          val clampHi = Option.when(prof.maxNumeric.get > hi)(hi)
+          val clampHi = Option.when(prof.maxNumeric.get > hi || prof.maxNumeric.get.isNaN)(hi)
           ColumnRewrite(
             c,
             RangeClamp(clampLo, clampHi),

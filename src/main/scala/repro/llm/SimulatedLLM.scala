@@ -42,7 +42,9 @@ trait LLMClient {
     */
   def suggestType(column: String, currentType: String, values: Seq[ValueCount]): Option[TypeSuggestion]
 
-  /** §2.1.5 — semantically acceptable (lo, hi) given observed min/max. */
+  /** §2.1.5 — semantically acceptable (lo, hi) given observed min/max. A
+    * NaN max is above every range, as Spark's `>` compares it.
+    */
   def reviewNumericRange(column: String, min: Double, max: Double): Option[(Double, Double)]
 
   /** §2.1.6 — is this statistically strong FD semantically meaningful? */
@@ -252,7 +254,7 @@ final class SimulatedLLM extends LLMClient {
   }
 
   override def reviewNumericRange(column: String, min: Double, max: Double): Option[(Double, Double)] =
-    Knowledge.plausibleRange(column).filter { case (lo, hi) => min < lo || max > hi }
+    Knowledge.plausibleRange(column).filter { case (lo, hi) => min < lo || max > hi || max.isNaN }
 
   override def reviewFdMeaningful(lhs: String, rhs: String): Boolean =
     Knowledge.fdSemanticallyMeaningful(lhs, rhs)

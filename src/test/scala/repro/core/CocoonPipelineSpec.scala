@@ -100,6 +100,24 @@ class CocoonPipelineSpec extends SparkSpec {
     assert(Sha256(res.script) == "72e3dc30c8dbaf48bee8eb4aef15db220c2eecbe8b16679c5230824fecaecf10", res.script)
   }
 
+  test("a NaN hides no out-of-range number from the numeric-outlier stage") {
+    // Spark orders NaN above every number, in the profile's max and in the
+    // clamp's `>`, so the clamp nulls both 999 and the NaN.
+    val ages  = (0 until 40).map(i => (18 + i).toString) ++ Seq("999", "NaN")
+    val text  = ages.zipWithIndex.map { case (a, i) => (i.toLong, a) }.toDF("row_id", "age")
+    val typed = text.selectExpr("row_id", "CAST(age AS DOUBLE) AS age")
+    for ((df, clue) <- Seq(text -> "text ages", typed -> "DOUBLE ages")) {
+      val res = CocoonPipeline.run(spark, df, llm)
+      assert(res.steps.map(_.issue) == Seq("numeric-outliers"), clue)
+      val cleaned = res.cleaned.cache()
+      try {
+        assert(cleaned.filter("age IS NULL").select("row_id").as[Long].collect().sorted.toSeq == Seq(40L, 41L), clue)
+        ScriptCheck.onSpark(res, df, cleaned, clue)
+        ScriptCheck.onDuckDb(res, df, cleaned)
+      } finally cleaned.unpersist()
+    }
+  }
+
   test("pipeline output schema equals input schema") {
     val res = CocoonPipeline.run(spark, datesDf, llm)
     assert(res.cleaned.columns.toSeq == datesDf.columns.toSeq)
